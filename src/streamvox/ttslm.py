@@ -91,6 +91,10 @@ class ExtendedVocab:
 
 
 class Predictor(Protocol):
+    """Next-token scorer.  ``visible`` is the ``(v, d)`` visible prefix of
+    fused representations.  ``decode_stream`` passes a read-only view of its
+    row buffer, which costs the same at any prefix length."""
+
     vocab: ExtendedVocab
 
     def logits(self, visible: np.ndarray, prev_ids: Sequence[int]) -> np.ndarray: ...
@@ -309,38 +313,56 @@ def decode_stream(
     in write-sized blocks until end-of-speech or ``max_tokens``.  The action
     trace of the realized lengths satisfies the schedule invariants.  Greedy
     mode is deterministic; sampled mode is reproducible under ``config.seed``.
+
+    Each pulled row must be a finite 1-D vector as wide as the first; a bad
+    row raises ``ValueError`` naming its index.  Rows are appended to one
+    buffer that doubles when full, and the model gets a read-only view of
+    the visible rows, so a step's own cost outside ``model.logits`` is the
+    same at any prefix length.
     """
     it = iter(stream)
     rng = np.random.default_rng(config.seed)
-    consumed: list[np.ndarray] = []
+    rows = np.empty((0, 0))
+    n = 0
     tokens: list[int] = []
     trace: list[Action] = []
     exhausted = False
 
     def read_block() -> int:
-        nonlocal exhausted
+        nonlocal rows, n, exhausted
         got = 0
         while got < policy.read_block:
             try:
-                vec = next(it)
+                vec = np.asarray(next(it), dtype=float)
             except StopIteration:
                 exhausted = True
                 break
-            consumed.append(np.asarray(vec, dtype=float))
+            if vec.ndim != 1:
+                raise ValueError(f"fused row {n} must be 1-D, got shape {vec.shape}")
+            if n and len(vec) != rows.shape[1]:
+                raise ValueError(f"fused row {n} has width {len(vec)}, expected {rows.shape[1]}")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"fused row {n} is not finite")
+            if n == len(rows):
+                rows = np.concatenate([rows, np.empty_like(rows)]) if n else np.empty((64, len(vec)))
+            rows[n] = vec
+            n += 1
             got += 1
         return got
 
     got = read_block()
     if got:
         trace.append(Action(READ, got))
-    if not consumed:
+    if not n:
         raise ValueError("stream delivered no fused representations")
 
     done = False
     while not done:
+        visible = rows[:n]
+        visible.flags.writeable = False
         wrote = 0
         while wrote < policy.write_block and len(tokens) < config.max_tokens:
-            logits = model.logits(np.vstack(consumed), tokens)
+            logits = model.logits(visible, tokens)
             token = _choose_token(logits, config, rng)
             kind = model.vocab.kind(token)
             if kind == KIND_TEXT:
@@ -358,14 +380,23 @@ def decode_stream(
             got = read_block()
             if got:
                 trace.append(Action(READ, got))
-    return DecodeResult(tokens=tokens, trace=trace, reps_read=len(consumed))
+    return DecodeResult(tokens=tokens, trace=trace, reps_read=n)
+
+
+_PROB_SUM_ATOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def _choose_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator) -> int:
     if config.mode == "greedy":
         return int(np.argmax(logits))
     probs = np.exp(log_softmax(np.asarray(logits, dtype=float) / config.temperature))
-    return int(rng.choice(probs.shape[0], p=probs))
+    # The inverse-CDF draw of ``rng.choice(len(probs), p=probs)``, bit for bit
+    # and with the same single ``rng.random()``, minus that call's overhead.
+    cdf = np.cumsum(probs)
+    if not abs(cdf[-1] - 1.0) <= _PROB_SUM_ATOL:  # also rejects NaN and inf
+        raise ValueError(f"probabilities are not finite or do not sum to 1 (sum {cdf[-1]})")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 # ---------------------------------------------------------------------------

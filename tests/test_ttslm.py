@@ -5,12 +5,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamvox.numerics import (
     FfnParams,
     GateParams,
     cross_entropy,
     finite_diff_check,
+    log_softmax,
     pack_arrays,
     softmax,
     unpack_arrays,
@@ -37,6 +40,7 @@ from streamvox.ttslm import (
     train_fused,
     train_toy,
 )
+from streamvox.ttslm import _choose_token
 
 VOCAB = ExtendedVocab(text_size=4, speech_size=12)
 
@@ -308,6 +312,139 @@ def test_decode_record_round_trips_trace() -> None:
     record = result.to_record()
     assert record["schema"] == "decode/v1"
     assert record["trace"] == [{"kind": READ, "count": 3}, {"kind": WRITE, "count": 1}]
+
+
+def _restacking_decode(C, policy, model, config):
+    """Reference decode loop: re-stacks the whole consumed prefix before every
+    step and samples with ``Generator.choice``."""
+    rng = np.random.default_rng(config.seed)
+    consumed, tokens, trace = [], [], []
+    rows = iter(C)
+
+    def read():
+        got = 0
+        for vec in rows:
+            consumed.append(vec)
+            got += 1
+            if got == policy.read_block:
+                break
+        if got:
+            trace.append(Action(READ, got))
+        return got
+
+    more = read() == policy.read_block
+    while len(tokens) < config.max_tokens:
+        wrote = 0
+        while wrote < policy.write_block and len(tokens) < config.max_tokens:
+            logits = model.logits(np.vstack(consumed), tokens)
+            if config.mode == "greedy":
+                token = int(np.argmax(logits))
+            else:
+                probs = np.exp(log_softmax(logits / config.temperature))
+                token = int(rng.choice(len(probs), p=probs))
+            tokens.append(token)
+            wrote += 1
+            if token == model.vocab.eos_id:
+                break
+        if wrote:
+            trace.append(Action(WRITE, wrote))
+        if tokens and tokens[-1] == model.vocab.eos_id:
+            break
+        if more and len(tokens) < config.max_tokens:
+            more = read() == policy.read_block
+    return tokens, trace, len(consumed)
+
+
+def _speech_only_predictor(fused_dim: int, seed: int) -> PredictorParams:
+    """``init_predictor`` with text and end-of-speech logits pushed far down."""
+    params = init_predictor(VOCAB, fused_dim, rng=np.random.default_rng(seed))
+    arrays = params.arrays()
+    arrays["out_bias"] = np.zeros(VOCAB.total_size)
+    arrays["out_bias"][: VOCAB.text_size] = -1e3
+    arrays["out_bias"][VOCAB.eos_id] = -1e3
+    return params.replace(arrays)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    read=st.integers(1, 5),
+    write=st.integers(1, 8),
+    n=st.one_of(st.integers(1, 40), st.sampled_from([63, 64, 65, 129])),
+    mode=st.sampled_from(["greedy", "sampled"]),
+    temperature=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    stub=st.booleans(),
+    stop_after=st.integers(1, 1000),
+)
+def test_decode_matches_restacking_reference(
+    read, write, n, mode, temperature, seed, stub, stop_after
+) -> None:
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((n, 3))
+    policy = SchedulePolicy(read, write)
+    if stub:
+        model = SpeechOnlyModel(VOCAB, stop_after=stop_after)
+    else:
+        model = _speech_only_predictor(3, seed)
+    # enough tokens to read every row, so N >= 65 grows the row buffer
+    max_tokens = -(-n // read) * write + int(rng.integers(0, 5))
+    config = DecodeConfig(mode=mode, temperature=temperature, max_tokens=max_tokens, seed=seed)
+    result = decode_stream(iter(C), policy, model, config)
+    tokens, trace, reps_read = _restacking_decode(C, policy, model, config)
+    assert result.tokens == tokens
+    assert result.trace == trace
+    assert result.reps_read == reps_read
+
+
+def test_sampled_choice_matches_generator_choice() -> None:
+    logits = np.random.default_rng(83).standard_normal(VOCAB.total_size)
+    for temperature in (0.3, 1.0, 2.5):
+        config = DecodeConfig(mode="sampled", temperature=temperature)
+        probs = np.exp(log_softmax(logits / temperature))
+        for seed in range(250):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _choose_token(logits, config, ours) == int(theirs.choice(len(probs), p=probs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampled_choice_rejects_non_finite_logits(bad) -> None:
+    logits = np.zeros(VOCAB.total_size)
+    logits[3] = bad
+    with pytest.raises(ValueError, match="probabilities"), np.errstate(invalid="ignore"):
+        _choose_token(logits, DecodeConfig(mode="sampled"), np.random.default_rng(0))
+
+
+def test_decode_gives_the_model_a_read_only_prefix() -> None:
+    @dataclass
+    class WritingModel:
+        vocab: ExtendedVocab
+
+        def logits(self, visible, prev_ids):
+            visible[0, 0] = 123.0
+            return np.zeros(self.vocab.total_size)
+
+    with pytest.raises(ValueError, match="read-only"):
+        decode_stream(
+            iter(np.zeros((3, 4))), SchedulePolicy(1, 2), WritingModel(VOCAB), DecodeConfig()
+        )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([np.zeros((2, 4)), np.zeros((3, 4))], "fused row 0 must be 1-D"),
+        ([np.zeros(4), np.float64(1.0)], "fused row 1 must be 1-D"),
+        ([np.zeros(4), np.zeros(4), np.zeros(3)], "fused row 2 has width 3, expected 4"),
+        ([np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0])], "fused row 1 is not finite"),
+        ([np.array([np.inf, 0.0, 0.0, 0.0])], "fused row 0 is not finite"),
+    ],
+)
+def test_decode_rejects_bad_rows(rows, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        decode_stream(
+            iter(rows), SchedulePolicy(3, 2), SpeechOnlyModel(VOCAB), DecodeConfig(max_tokens=4)
+        )
 
 
 # ---------------------------------------------------------------------------
