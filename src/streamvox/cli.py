@@ -145,6 +145,8 @@ def _cmd_datagen(args) -> int:
 
 def validate_config(config: dict) -> list[str]:
     """Pure validation of an engine config document; returns violations."""
+    if not isinstance(config, dict):
+        return ["config: expected a JSON object"]
     violations: list[str] = []
     policy = config.get("policy")
     if not isinstance(policy, dict):

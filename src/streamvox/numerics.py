@@ -1,10 +1,11 @@
 """Dense numeric kernel: adapter downsampling, projection FFN, gate fusion,
 cross-entropy, SGD, and a finite-difference gradient checker.
 
-All math is double precision.  Shapes are validated explicitly on every
-operation; nothing relies on implicit broadcasting.  Each forward operation
-has a matching ``*_grads`` routine with closed-form gradients, so composites
-can be trained and checked against central finite differences.
+All math is double precision.  Leading axes are batch axes and a 1-D input
+is the one-row case: forward kernels give each row the bits it would get
+alone, and ``*_grads`` kernels (closed form, checked against central finite
+differences) sum parameter gradients over rows and return per-row input
+gradients.  Trailing shapes are validated explicitly.
 
 The two-layer projection uses tanh between its layers.  A smooth activation
 keeps the finite-difference checks exact near machine precision; the choice
@@ -14,9 +15,12 @@ is otherwise unconstrained.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import records
 
 _TENSOR_MAGIC = b"#tensors-v1\n"
 
@@ -28,13 +32,37 @@ def _as_vector(name: str, x) -> np.ndarray:
     return arr
 
 
+def _rows(name: str, x, width: int | None = None) -> np.ndarray:
+    """``x`` as float rows (any leading axes), of size ``width`` if given."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim < 1 or width is not None and arr.shape[-1] != width:
+        raise ValueError(f"{name} must have rows of size {width}, got shape {arr.shape}")
+    return arr
+
+
 def _require_shape(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
 
 
+def _affine(w: np.ndarray, x: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``w @ x + b`` over the last axis of ``x``; all leading axes broadcast."""
+    y = (w @ x[..., None])[..., 0]
+    return y if b is None else y + b
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over every leading (batch) axis."""
+    return a.reshape(-1, a.shape[-1]).sum(axis=0)
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``outer(a_row, b_row)`` summed over the batch rows."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
 # ---------------------------------------------------------------------------
-# parameter containers
+# parameter containers (leading axes, if any, stack several parameter sets)
 
 
 @dataclass
@@ -50,15 +78,15 @@ class GateParams:
     def __post_init__(self) -> None:
         self.weight = np.asarray(self.weight, dtype=float)
         self.bias = np.asarray(self.bias, dtype=float)
-        d = self.bias.shape[0] if self.bias.ndim == 1 else -1
-        if self.bias.ndim != 1 or self.weight.shape != (d, 2 * d):
+        d = self.bias.shape[-1] if self.bias.ndim else -1
+        if self.weight.shape[-2:] != (d, 2 * d):
             raise ValueError(
                 f"gate shapes must be (d, 2d) and (d,), got {self.weight.shape} and {self.bias.shape}"
             )
 
     @property
     def dim(self) -> int:
-        return self.bias.shape[0]
+        return self.bias.shape[-1]
 
 
 @dataclass
@@ -75,20 +103,20 @@ class FfnParams:
         self.b1 = np.asarray(self.b1, dtype=float)
         self.w2 = np.asarray(self.w2, dtype=float)
         self.b2 = np.asarray(self.b2, dtype=float)
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise ValueError("ffn weights must be 2-D")
-        hidden, _ = self.w1.shape
-        out, hidden2 = self.w2.shape
-        if self.b1.shape != (hidden,) or hidden2 != hidden or self.b2.shape != (out,):
+        if self.w1.ndim < 2 or self.w2.ndim < 2:
+            raise ValueError("ffn weights must be at least 2-D")
+        hidden = self.w1.shape[-2]
+        out, hidden2 = self.w2.shape[-2:]
+        if self.b1.shape[-1:] != (hidden,) or hidden2 != hidden or self.b2.shape[-1:] != (out,):
             raise ValueError("ffn layer dimensions do not chain")
 
     @property
     def in_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.w1.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.w2.shape[0]
+        return self.w2.shape[-2]
 
 
 @dataclass
@@ -149,18 +177,26 @@ def adapter_downsample(frames, group_size: int) -> np.ndarray:
 
 def ffn_apply(params: FfnParams, x) -> np.ndarray:
     """affine -> tanh -> affine."""
-    x = _as_vector("x", x)
-    _require_shape("x", x, (params.in_dim,))
-    hidden = np.tanh(params.w1 @ x + params.b1)
-    return params.w2 @ hidden + params.b2
+    hidden = np.tanh(_affine(params.w1, _rows("x", x, params.in_dim), params.b1))
+    return _affine(params.w2, hidden, params.b2)
 
 
 def apply_adapter(frames, config: AdapterConfig) -> np.ndarray:
-    """Downsample then project each stacked frame through the adapter FFN."""
+    """Downsample then project every stacked frame through the adapter FFN."""
     stacked = adapter_downsample(frames, config.group_size)
     if stacked.shape[0] == 0:
         return np.zeros((0, config.ffn.out_dim))
-    return np.vstack([ffn_apply(config.ffn, row) for row in stacked])
+    return ffn_apply(config.ffn, stacked)
+
+
+def _gate(params: GateParams, e_hidden, e_emb) -> tuple[np.ndarray, ...]:
+    """Checked inputs, their concatenation, and the gate."""
+    d = params.dim
+    e_hidden = _rows("e_hidden", e_hidden, d)
+    e_emb = _rows("e_emb", e_emb, d)
+    _require_shape("e_emb", e_emb, e_hidden.shape)
+    concat = np.concatenate([e_hidden, e_emb], axis=-1)
+    return e_hidden, e_emb, concat, sigmoid(_affine(params.weight, concat, params.bias))
 
 
 def gate_fuse(params: GateParams, e_hidden, e_emb) -> tuple[np.ndarray, np.ndarray]:
@@ -171,41 +207,42 @@ def gate_fuse(params: GateParams, e_hidden, e_emb) -> tuple[np.ndarray, np.ndarr
     inside (0, 1) up to float64 saturation of the sigmoid, so ``c`` is an
     elementwise convex combination of its two inputs.
     """
-    d = params.dim
-    e_hidden = _as_vector("e_hidden", e_hidden)
-    e_emb = _as_vector("e_emb", e_emb)
-    _require_shape("e_hidden", e_hidden, (d,))
-    _require_shape("e_emb", e_emb, (d,))
-    gate = sigmoid(params.weight @ np.concatenate([e_hidden, e_emb]) + params.bias)
-    fused = gate * e_hidden + (1.0 - gate) * e_emb
-    return gate, fused
+    e_hidden, e_emb, _, gate = _gate(params, e_hidden, e_emb)
+    return gate, gate * e_hidden + (1.0 - gate) * e_emb
 
 
 def embedding_lookup(table: np.ndarray, index: int) -> np.ndarray:
     table = np.asarray(table, dtype=float)
-    if table.ndim != 2:
-        raise ValueError(f"embedding table must be 2-D, got shape {table.shape}")
-    if not 0 <= index < table.shape[0]:
-        raise ValueError(f"embedding index {index} out of range [0, {table.shape[0]})")
-    return table[index].copy()
+    if table.ndim < 2:
+        raise ValueError(f"embedding table must be at least 2-D, got shape {table.shape}")
+    if not 0 <= index < table.shape[-2]:
+        raise ValueError(f"embedding index {index} out of range [0, {table.shape[-2]})")
+    return table[..., index, :].copy()
 
 
 def log_softmax(logits) -> np.ndarray:
-    logits = _as_vector("logits", logits)
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    logits = _rows("logits", logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def cross_entropy(logits, target: int) -> float:
-    """Negative log softmax probability of ``target``, via a stable log-sum-exp."""
-    logits = _as_vector("logits", logits)
-    if not 0 <= target < logits.shape[0]:
-        raise ValueError(f"target {target} out of range [0, {logits.shape[0]})")
-    return float(-log_softmax(logits)[target])
+def _target_index(target, shape: tuple[int, ...]) -> np.ndarray:
+    """Flat positions of ``target`` (one int, or one per row) in ``shape``."""
+    target = np.asarray(target)
+    if target.size and not (0 <= target.min() and target.max() < shape[-1]):
+        raise ValueError(f"target {target} out of range [0, {shape[-1]})")
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]) + target
+
+
+def cross_entropy(logits, target):
+    """Negative log softmax probability of ``target``, via a stable
+    log-sum-exp: a float for 1-D ``logits``, else one value per row."""
+    log_probs = log_softmax(logits)
+    return -log_probs.reshape(-1)[_target_index(target, log_probs.shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +257,13 @@ def gate_fuse_grads(
     Returns ``(d_weight, d_bias, d_e_hidden, d_e_emb)``.
     """
     d = params.dim
-    e_hidden = _as_vector("e_hidden", e_hidden)
-    e_emb = _as_vector("e_emb", e_emb)
-    d_fused = _as_vector("d_fused", d_fused)
-    _require_shape("d_fused", d_fused, (d,))
-    concat = np.concatenate([e_hidden, e_emb])
-    gate = sigmoid(params.weight @ concat + params.bias)
-    d_gate = d_fused * (e_hidden - e_emb)
-    d_pre = d_gate * gate * (1.0 - gate)
-    d_weight = np.outer(d_pre, concat)
-    d_concat = params.weight.T @ d_pre
-    d_e_hidden = d_fused * gate + d_concat[:d]
-    d_e_emb = d_fused * (1.0 - gate) + d_concat[d:]
-    return d_weight, d_pre, d_e_hidden, d_e_emb
+    e_hidden, e_emb, concat, gate = _gate(params, e_hidden, e_emb)
+    d_fused = _rows("d_fused", d_fused, d)
+    d_pre = d_fused * (e_hidden - e_emb) * gate * (1.0 - gate)
+    d_concat = _affine(params.weight.T, d_pre)
+    d_e_hidden = d_fused * gate + d_concat[..., :d]
+    d_e_emb = d_fused * (1.0 - gate) + d_concat[..., d:]
+    return _outer_sum(d_pre, concat), _row_sum(d_pre), d_e_hidden, d_e_emb
 
 
 def ffn_grads(params: FfnParams, x, d_out) -> tuple[FfnParams, np.ndarray]:
@@ -240,24 +271,18 @@ def ffn_grads(params: FfnParams, x, d_out) -> tuple[FfnParams, np.ndarray]:
 
     Returns gradients packaged as an :class:`FfnParams` plus ``d_x``.
     """
-    x = _as_vector("x", x)
-    d_out = _as_vector("d_out", d_out)
-    _require_shape("d_out", d_out, (params.out_dim,))
-    hidden = np.tanh(params.w1 @ x + params.b1)
-    d_w2 = np.outer(d_out, hidden)
-    d_hidden = params.w2.T @ d_out
-    d_pre = d_hidden * (1.0 - hidden**2)
-    d_w1 = np.outer(d_pre, x)
-    d_x = params.w1.T @ d_pre
-    return FfnParams(d_w1, d_pre, d_w2, d_out.copy()), d_x
+    x = _rows("x", x, params.in_dim)
+    hidden = np.tanh(_affine(params.w1, x, params.b1))
+    d_out = _rows("d_out", d_out, params.out_dim)
+    d_pre = _affine(params.w2.T, d_out) * (1.0 - hidden**2)
+    d_params = FfnParams(_outer_sum(d_pre, x), _row_sum(d_pre), _outer_sum(d_out, hidden), _row_sum(d_out))
+    return d_params, _affine(params.w1.T, d_pre)
 
 
-def cross_entropy_grads(logits, target: int) -> np.ndarray:
+def cross_entropy_grads(logits, target) -> np.ndarray:
     """d loss / d logits, i.e. ``softmax(logits) - onehot(target)``."""
     probs = softmax(logits)
-    if not 0 <= target < probs.shape[0]:
-        raise ValueError(f"target {target} out of range [0, {probs.shape[0]})")
-    probs[target] -= 1.0
+    probs.reshape(-1)[_target_index(target, probs.shape)] -= 1.0
     return probs
 
 
@@ -279,34 +304,32 @@ class FusionPipelineParams:
         self.embedding = np.asarray(self.embedding, dtype=float)
         self.head = np.asarray(self.head, dtype=float)
         d = self.gate.dim
-        if self.ffn.out_dim != d or self.embedding.shape[1] != d or self.head.shape[1] != d:
+        if self.ffn.out_dim != d or self.embedding.shape[-1:] != (d,) or self.head.shape[-1:] != (d,):
             raise ValueError("fusion pipeline dimensions do not chain")
 
 
-def fusion_loss(params: FusionPipelineParams, hidden_state, token_id: int, target: int) -> float:
-    """Project, embed, gate-fuse, score, and take cross-entropy against ``target``."""
+def _fusion_forward(params: FusionPipelineParams, hidden_state, token_id: int):
+    """Projection, embedding, fused vector and class logits."""
     e_hidden = ffn_apply(params.ffn, hidden_state)
     e_emb = embedding_lookup(params.embedding, token_id)
     _, fused = gate_fuse(params.gate, e_hidden, e_emb)
-    return cross_entropy(params.head @ fused, target)
+    return e_hidden, e_emb, fused, _affine(params.head, fused)
+
+
+def fusion_loss(params: FusionPipelineParams, hidden_state, token_id: int, target: int):
+    """Project, embed, gate-fuse, score, and take cross-entropy against
+    ``target``; stacked parameters give one loss per parameter set."""
+    return cross_entropy(_fusion_forward(params, hidden_state, token_id)[-1], target)
 
 
 def fusion_loss_and_grads(
     params: FusionPipelineParams, hidden_state, token_id: int, target: int
 ) -> tuple[float, FusionPipelineParams]:
     """Loss plus analytic gradients for every parameter of the pipeline."""
-    hidden_state = _as_vector("hidden_state", hidden_state)
-    e_hidden = ffn_apply(params.ffn, hidden_state)
-    e_emb = embedding_lookup(params.embedding, token_id)
-    _, fused = gate_fuse(params.gate, e_hidden, e_emb)
-    logits = params.head @ fused
-    loss = cross_entropy(logits, target)
-
+    e_hidden, e_emb, fused, logits = _fusion_forward(params, hidden_state, token_id)
     d_logits = cross_entropy_grads(logits, target)
-    d_head = np.outer(d_logits, fused)
-    d_fused = params.head.T @ d_logits
     d_gate_w, d_gate_b, d_e_hidden, d_e_emb = gate_fuse_grads(
-        params.gate, e_hidden, e_emb, d_fused
+        params.gate, e_hidden, e_emb, _affine(params.head.T, d_logits)
     )
     d_ffn, _ = ffn_grads(params.ffn, hidden_state, d_e_hidden)
     d_embedding = np.zeros_like(params.embedding)
@@ -315,9 +338,9 @@ def fusion_loss_and_grads(
         ffn=d_ffn,
         embedding=d_embedding,
         gate=GateParams(d_gate_w, d_gate_b),
-        head=d_head,
+        head=_outer_sum(d_logits, fused),
     )
-    return loss, grads
+    return cross_entropy(logits, target), grads
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +367,16 @@ def pack_arrays(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def unpack_arrays(theta: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Inverse of :func:`pack_arrays` given the original shapes."""
+    """Inverse of :func:`pack_arrays` given the original shapes; leading axes
+    of ``theta`` (a stack of packed vectors) stay leading axes."""
     out = []
     offset = 0
     for shape in shapes:
         size = int(np.prod(shape)) if shape else 1
-        out.append(theta[offset : offset + size].reshape(shape))
+        out.append(theta[..., offset : offset + size].reshape(theta.shape[:-1] + tuple(shape)))
         offset += size
-    if offset != theta.shape[0]:
-        raise ValueError(f"theta has {theta.shape[0]} entries, shapes need {offset}")
+    if offset != theta.shape[-1]:
+        raise ValueError(f"theta has {theta.shape[-1]} entries, shapes need {offset}")
     return out
 
 
@@ -365,32 +389,33 @@ def finite_diff_check(loss_and_grad, theta: np.ndarray, eps: float, loss_fn=None
     ``|analytic - numeric| / max(1, |analytic|, |numeric|)`` maximized over
     coordinates (relative for large gradients, absolute below magnitude 1).
 
-    The probe points need only the loss; pass ``loss_fn`` to evaluate them
-    without the gradient work.
+    All 2P probes of a P-vector form one ``(2, P, P)`` stack (``theta`` plus
+    and minus ``eps`` on the diagonal, 2P²×8 bytes).  ``loss_fn(probes)``
+    must return their ``(2, P)`` losses in one call, without the gradient
+    work; without it, ``loss_and_grad`` is mapped over the probes.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if loss_fn is None:
-        loss_fn = lambda t: loss_and_grad(t)[0]
+        loss_fn = lambda probes: np.apply_along_axis(lambda t: loss_and_grad(t)[0], -1, probes)
     theta = np.asarray(theta, dtype=float)
     loss, grad = loss_and_grad(theta)
     grad = np.asarray(grad, dtype=float)
     _require_shape("grad", grad, theta.shape)
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise ValueError("loss or gradient is not finite at the base point")
-    worst = 0.0
-    for i in range(theta.shape[0]):
-        probe = theta.copy()
-        probe[i] = theta[i] + eps
-        up = loss_fn(probe)
-        probe[i] = theta[i] - eps
-        down = loss_fn(probe)
-        if not np.isfinite(up) or not np.isfinite(down):
-            raise ValueError(f"loss is not finite at probe coordinate {i}")
-        numeric = (up - down) / (2.0 * eps)
-        denom = max(1.0, abs(grad[i]), abs(numeric))
-        worst = max(worst, abs(grad[i] - numeric) / denom)
-    return worst
+    size = theta.shape[0]
+    probes = np.tile(theta, (2, size, 1))
+    diagonal = np.arange(size)
+    probes[:, diagonal, diagonal] += [[eps], [-eps]]
+    losses = np.asarray(loss_fn(probes), dtype=float)
+    _require_shape("probe losses", losses, (2, size))
+    bad = ~np.isfinite(losses).all(axis=0)
+    if bad.any():
+        raise ValueError(f"loss is not finite at probe coordinate {int(bad.argmax())}")
+    numeric = (losses[0] - losses[1]) / (2.0 * eps)
+    denom = np.maximum(1.0, np.maximum(abs(grad), abs(numeric)))
+    return float(np.max(abs(grad - numeric) / denom, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +427,15 @@ def finite_diff_check(loss_and_grad, theta: np.ndarray, eps: float, loss_fn=None
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    header = {
-        "tensors": [
-            {"name": name, "shape": list(np.asarray(t).shape)} for name, t in tensors.items()
-        ],
-        "meta": meta or {},
-    }
-    with open(path, "wb") as fh:
-        fh.write(_TENSOR_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for tensor in tensors.values():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    """Write a tensors-v1 file atomically (write-then-rename)."""
+    entries = [{"name": name, "shape": list(np.shape(t))} for name, t in tensors.items()]
+    header = json.dumps({"tensors": entries, "meta": meta or {}}, sort_keys=True).encode("utf-8")
+    payloads = [np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors.values()]
+    records._atomic_write(path, b"".join([_TENSOR_MAGIC, header, b"\n", *payloads]))
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a whole tensors-v1 file; a short or over-long payload raises."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _TENSOR_MAGIC:
@@ -429,4 +449,6 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             if len(raw) != count * 8:
                 raise ValueError(f"truncated payload for tensor {entry['name']!r}")
             tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last tensor payload")
     return tensors, header.get("meta", {})

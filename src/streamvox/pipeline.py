@@ -149,7 +149,7 @@ class StageTimings:
         if self.fm_voc is not None:
             return self.fm_voc.cost_ms(write_count), None, None
         fm = self.fm.cost_ms(write_count)
-        voc = self.voc.cost_ms(MEL_FRAMES_PER_TOKEN * write_count)
+        voc = self.voc.cost_ms(mel_frames(write_count))
         return fm + voc, fm, voc
 
     def to_records(self) -> list[dict]:
@@ -344,9 +344,7 @@ def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline
             synth_done[STAGE_FM] = fm_start + timings.fm.cost_ms(chunk_tokens)
             stages[STAGE_FM] = (fm_start, synth_done[STAGE_FM])
             voc_start = max(synth_done[STAGE_FM], synth_done[STAGE_VOC])
-            synth_done[STAGE_VOC] = voc_start + timings.voc.cost_ms(
-                MEL_FRAMES_PER_TOKEN * chunk_tokens
-            )
+            synth_done[STAGE_VOC] = voc_start + timings.voc.cost_ms(mel_frames(chunk_tokens))
             stages[STAGE_VOC] = (voc_start, synth_done[STAGE_VOC])
 
         timeline.chunks.append(

@@ -64,12 +64,12 @@ def read_jsonl(path, schema: str | None = None) -> list[dict]:
     return rows
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, data: str | bytes) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

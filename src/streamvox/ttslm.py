@@ -30,6 +30,7 @@ from .numerics import (
     load_tensors,
     log_softmax,
     save_tensors,
+    sgd_step,
     softmax,
 )
 from .schedule import READ, WRITE, Action, SchedulePolicy, visible_prefix
@@ -201,6 +202,8 @@ def _check_inputs(C, Y: Sequence[int], vocab: ExtendedVocab) -> np.ndarray:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] < 1:
         raise ValueError(f"fused representations must be a non-empty 2-D array, got {C.shape}")
+    if not np.isfinite(C).all():
+        raise ValueError("fused representations are not finite")
     for token in Y:
         if vocab.kind(token) == KIND_TEXT:
             raise ValueError(f"token {token} is text-kind; speech streams may not contain it")
@@ -234,7 +237,7 @@ def predictive_distribution(
     C, prev_ids: Sequence[int], position: int, policy: SchedulePolicy, model: Predictor
 ) -> np.ndarray:
     """Distribution over the next token at 1-based ``position``."""
-    C = np.asarray(C, dtype=float)
+    C = _check_inputs(C, prev_ids, model.vocab)
     v = visible_prefix(position, C.shape[0], policy)
     return softmax(model.logits(C[:v], prev_ids))
 
@@ -428,15 +431,24 @@ def train_toy(
         if vocab is None:
             raise ValueError("either params or vocab must be supplied")
         fused_dim = np.asarray(dataset[0][0]).shape[1]
-        params = init_predictor(
-            vocab, fused_dim, emb_dim, hidden_dim, np.random.default_rng(seed)
-        )
+        params = init_predictor(vocab, fused_dim, emb_dim, hidden_dim, np.random.default_rng(seed))
+
+    def loss_and_grads(arrays: dict, pair: tuple):
+        return interleaved_loss_and_grads(*pair, policy, params.replace(arrays))[:2]
+
+    arrays, curve = _descend(params.arrays(), loss_and_grads, dataset, epochs, lr)
+    return params.replace(arrays), curve
+
+
+def _descend(arrays: dict, loss_and_grads, dataset: Sequence, epochs: int, lr: float):
+    """Full-batch gradient descent on a dict of arrays, given one sample's
+    ``(loss, grads)`` from ``loss_and_grads(arrays, sample)``."""
     curve: list[float] = []
     for epoch in range(epochs):
-        batch = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+        batch = {k: np.zeros_like(v) for k, v in arrays.items()}
         total = 0.0
-        for C, Y in dataset:
-            loss, grads, _ = interleaved_loss_and_grads(C, Y, policy, params)
+        for sample in dataset:
+            loss, grads = loss_and_grads(arrays, sample)
             total += loss
             for key in batch:
                 batch[key] += grads[key]
@@ -444,11 +456,8 @@ def train_toy(
         if not np.isfinite(mean_loss):
             raise ValueError(f"non-finite training loss {mean_loss} at epoch {epoch}")
         curve.append(mean_loss)
-        arrays = params.arrays()
-        params = params.replace(
-            {k: arrays[k] - lr * batch[k] / len(dataset) for k in arrays}
-        )
-    return params, curve
+        arrays = sgd_step(arrays, batch, lr / len(dataset))
+    return arrays, curve
 
 
 def next_token_accuracy(
@@ -458,7 +467,7 @@ def next_token_accuracy(
     hits = 0
     total = 0
     for C, Y in dataset:
-        C = np.asarray(C, dtype=float)
+        C = _check_inputs(C, Y, model.vocab)
         for i, target in enumerate(Y, start=1):
             v = visible_prefix(i, C.shape[0], policy)
             hits += int(np.argmax(model.logits(C[:v], Y[: i - 1])) == target)
@@ -497,19 +506,22 @@ def copy_task_dataset(
 # gate-fused training (upstream fusion trainable, source hidden states frozen)
 
 
+def _fuse(ffn: FfnParams, gate: GateParams, token_emb: np.ndarray, hidden_states, text_ids):
+    """Checked inputs and every stage of the fusion forward pass."""
+    hidden_states = np.asarray(hidden_states, dtype=float)
+    if hidden_states.ndim != 2 or hidden_states.shape[0] != len(text_ids):
+        raise ValueError("hidden_states must be (n, d_in) aligned with text_ids")
+    text_ids = np.asarray(text_ids)
+    e_hidden, e_emb = ffn_apply(ffn, hidden_states), token_emb[text_ids]
+    _, fused = gate_fuse(gate, e_hidden, e_emb)
+    return hidden_states, text_ids, e_hidden, e_emb, fused
+
+
 def fused_representations(
     ffn: FfnParams, gate: GateParams, token_emb: np.ndarray, hidden_states, text_ids: Sequence[int]
 ) -> np.ndarray:
     """Project each source hidden state, embed its text token, and gate-fuse."""
-    hidden_states = np.asarray(hidden_states, dtype=float)
-    if hidden_states.ndim != 2 or hidden_states.shape[0] != len(text_ids):
-        raise ValueError("hidden_states must be (n, d_in) aligned with text_ids")
-    rows = []
-    for h, t in zip(hidden_states, text_ids):
-        e_hidden = ffn_apply(ffn, h)
-        _, fused = gate_fuse(gate, e_hidden, token_emb[t])
-        rows.append(fused)
-    return np.vstack(rows)
+    return _fuse(ffn, gate, token_emb, hidden_states, text_ids)[-1]
 
 
 def fused_loss_and_grads(
@@ -529,25 +541,11 @@ def fused_loss_and_grads(
     table accumulates gradient from both the fusion path and the
     previous-token path.
     """
-    C = fused_representations(ffn, gate, params.token_emb, hidden_states, text_ids)
+    hidden_states, text_ids, e_hidden, e_emb, C = _fuse(ffn, gate, params.token_emb, hidden_states, text_ids)
     loss, grads, d_C = interleaved_loss_and_grads(C, Y, policy, params)
-    d_ffn = FfnParams(
-        np.zeros_like(ffn.w1), np.zeros_like(ffn.b1), np.zeros_like(ffn.w2), np.zeros_like(ffn.b2)
-    )
-    d_gate_w = np.zeros_like(gate.weight)
-    d_gate_b = np.zeros_like(gate.bias)
-    hidden_states = np.asarray(hidden_states, dtype=float)
-    for h, t, d_c in zip(hidden_states, text_ids, d_C):
-        e_hidden = ffn_apply(ffn, h)
-        dw, db, d_e_hidden, d_e_emb = gate_fuse_grads(gate, e_hidden, params.token_emb[t], d_c)
-        d_gate_w += dw
-        d_gate_b += db
-        step, _ = ffn_grads(ffn, h, d_e_hidden)
-        d_ffn.w1 += step.w1
-        d_ffn.b1 += step.b1
-        d_ffn.w2 += step.w2
-        d_ffn.b2 += step.b2
-        grads["token_emb"][t] += d_e_emb
+    d_gate_w, d_gate_b, d_e_hidden, d_e_emb = gate_fuse_grads(gate, e_hidden, e_emb, d_C)
+    d_ffn, _ = ffn_grads(ffn, hidden_states, d_e_hidden)
+    np.add.at(grads["token_emb"], text_ids, d_e_emb)  # ids may repeat
     return loss, d_ffn, GateParams(d_gate_w, d_gate_b), grads
 
 
@@ -564,41 +562,19 @@ def train_fused(
     speech_tokens) triples; source hidden states stay frozen."""
     if not dataset:
         raise ValueError("dataset is empty")
-    curve: list[float] = []
-    for epoch in range(epochs):
-        acc_ffn = [np.zeros_like(ffn.w1), np.zeros_like(ffn.b1), np.zeros_like(ffn.w2), np.zeros_like(ffn.b2)]
-        acc_gate_w = np.zeros_like(gate.weight)
-        acc_gate_b = np.zeros_like(gate.bias)
-        acc_pred = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        total = 0.0
-        for hidden_states, text_ids, Y in dataset:
-            loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(
-                hidden_states, text_ids, Y, policy, ffn, gate, params
-            )
-            total += loss
-            acc_ffn[0] += d_ffn.w1
-            acc_ffn[1] += d_ffn.b1
-            acc_ffn[2] += d_ffn.w2
-            acc_ffn[3] += d_ffn.b2
-            acc_gate_w += d_gate.weight
-            acc_gate_b += d_gate.bias
-            for key in acc_pred:
-                acc_pred[key] += d_pred[key]
-        mean_loss = total / len(dataset)
-        if not np.isfinite(mean_loss):
-            raise ValueError(f"non-finite training loss {mean_loss} at epoch {epoch}")
-        curve.append(mean_loss)
-        scale = lr / len(dataset)
-        ffn = FfnParams(
-            ffn.w1 - scale * acc_ffn[0],
-            ffn.b1 - scale * acc_ffn[1],
-            ffn.w2 - scale * acc_ffn[2],
-            ffn.b2 - scale * acc_ffn[3],
-        )
-        gate = GateParams(gate.weight - scale * acc_gate_w, gate.bias - scale * acc_gate_b)
-        arrays = params.arrays()
-        params = params.replace({k: arrays[k] - scale * acc_pred[k] for k in arrays})
-    return ffn, gate, params, curve
+
+    # One dict of every trained array: the dataclass fields and predictor keys are disjoint.
+    def split(a: dict) -> tuple[FfnParams, GateParams, PredictorParams]:
+        pred = params.replace({k: a[k] for k in params.arrays()})
+        return FfnParams(a["w1"], a["b1"], a["w2"], a["b2"]), GateParams(a["weight"], a["bias"]), pred
+
+    def loss_and_grads(a: dict, sample: tuple):
+        loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(*sample, policy, *split(a))
+        return loss, {**vars(d_ffn), **vars(d_gate), **d_pred}
+
+    start = {**vars(ffn), **vars(gate), **params.arrays()}
+    arrays, curve = _descend(start, loss_and_grads, dataset, epochs, lr)
+    return (*split(arrays), curve)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_criterion_05_gate_fusion_gradient_check() -> None:
             loss_and_grad,
             pack_arrays(_fusion_arrays(params)),
             eps=1e-5,
-            loss_fn=lambda theta: fusion_loss(rebuild(theta), h, 2, 3),
+            loss_fn=lambda probes: fusion_loss(rebuild(probes), h, 2, 3),
         )
         worst = max(worst, error)
         assert error < 1e-5

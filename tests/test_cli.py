@@ -284,6 +284,19 @@ def test_validate_config_flags_duplicate_stage_models() -> None:
     assert any("duplicate stage" in v for v in violations)
 
 
+def test_validate_config_rejects_non_object_document(tmp_path, capsys) -> None:
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate-config", str(path))
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "config-check/v1",
+        "ok": False,
+        "violations": ["config: expected a JSON object"],
+    }
+    assert err == ""
+
+
 def test_validate_config_is_pure(tmp_path, capsys, monkeypatch) -> None:
     path = tmp_path / "config.json"
     records.write_json(path, good_config())

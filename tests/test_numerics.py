@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from streamvox import records
 from streamvox.numerics import (
     AdapterConfig,
     FfnParams,
@@ -23,9 +26,11 @@ from streamvox.numerics import (
     gate_fuse,
     gate_fuse_grads,
     load_tensors,
+    log_softmax,
     pack_arrays,
     save_tensors,
     sgd_step,
+    sigmoid,
     softmax,
     unpack_arrays,
 )
@@ -226,6 +231,75 @@ def test_softmax_normalizes() -> None:
 
 
 # ---------------------------------------------------------------------------
+# batch rule: leading axes are batch axes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.lists(st.integers(0, 3), min_size=1, max_size=2).map(tuple),
+    d_in=st.integers(1, 6),
+    hidden=st.integers(1, 6),
+    d=st.integers(1, 6),
+    classes=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_on_stacked_rows_match_row_by_row(lead, d_in, hidden, d, classes, seed) -> None:
+    rng = np.random.default_rng(seed)
+    ffn = random_ffn(rng, d_in, hidden, d)
+    gate = GateParams(rng.standard_normal((d, 2 * d)), rng.standard_normal(d))
+    x = 3 * rng.standard_normal(lead + (d_in,))
+    e_hidden, e_emb, d_fused = 3 * rng.standard_normal((3,) + lead + (d,))
+    logits = 30 * rng.standard_normal(lead + (classes,))
+    target = rng.integers(classes, size=lead)
+    d_out = rng.standard_normal(lead + (d,))
+
+    stacked_ffn = ffn_apply(ffn, x)
+    stacked_gate = gate_fuse(gate, e_hidden, e_emb)
+    stacked_ce = cross_entropy(logits, target)
+    stacked_ce_grads = cross_entropy_grads(logits, target)
+    gate_grads = gate_fuse_grads(gate, e_hidden, e_emb, d_fused)
+    d_ffn, d_x = ffn_grads(ffn, x, d_out)
+    summed_gate = [np.zeros_like(gate.weight), np.zeros_like(gate.bias)]
+    summed_ffn = [np.zeros_like(a) for a in (ffn.w1, ffn.b1, ffn.w2, ffn.b2)]
+    for i in np.ndindex(lead):
+        assert np.array_equal(sigmoid(logits)[i], sigmoid(logits[i]))
+        assert np.array_equal(stacked_ffn[i], ffn_apply(ffn, x[i]))
+        for got, want in zip(stacked_gate, gate_fuse(gate, e_hidden[i], e_emb[i])):
+            assert np.array_equal(got[i], want)
+        assert np.array_equal(log_softmax(logits)[i], log_softmax(logits[i]))
+        assert np.array_equal(softmax(logits)[i], softmax(logits[i]))
+        assert stacked_ce[i] == cross_entropy(logits[i], target[i])
+        assert np.array_equal(stacked_ce_grads[i], cross_entropy_grads(logits[i], target[i]))
+        d_w, d_b, d_eh, d_ee = gate_fuse_grads(gate, e_hidden[i], e_emb[i], d_fused[i])
+        assert np.array_equal(gate_grads[2][i], d_eh) and np.array_equal(gate_grads[3][i], d_ee)
+        summed_gate[0] += d_w
+        summed_gate[1] += d_b
+        row_ffn, row_d_x = ffn_grads(ffn, x[i], d_out[i])
+        assert np.array_equal(d_x[i], row_d_x)
+        for total, part in zip(summed_ffn, (row_ffn.w1, row_ffn.b1, row_ffn.w2, row_ffn.b2)):
+            total += part
+    for got, want in zip(gate_grads[:2] + (d_ffn.w1, d_ffn.b1, d_ffn.w2, d_ffn.b2), summed_gate + summed_ffn):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_parameters_give_one_loss_per_set() -> None:
+    rng = np.random.default_rng(7)
+    params, h = _fusion_setup(rng, 3)
+    shapes = [a.shape for a in _fusion_arrays(params)]
+
+    def rebuild(theta: np.ndarray) -> FusionPipelineParams:
+        parts = unpack_arrays(theta, shapes)
+        return FusionPipelineParams(FfnParams(*parts[:4]), parts[4], GateParams(parts[5], parts[6]), parts[7])
+
+    base = pack_arrays(_fusion_arrays(params))
+    theta = base + 0.1 * rng.standard_normal((2, 3, base.shape[0]))
+    losses = fusion_loss(rebuild(theta), h, 2, 4)
+    assert losses.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        assert losses[i] == pytest.approx(fusion_loss(rebuild(theta[i]), h, 2, 4), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # gradients and the finite-difference checker
 
 
@@ -245,6 +319,36 @@ def test_finite_diff_rejects_zero_step() -> None:
 def test_finite_diff_rejects_non_finite_loss() -> None:
     with pytest.raises(ValueError):
         finite_diff_check(lambda t: (math.inf, t), np.zeros(2), eps=1e-5)
+
+
+def _quadratic_with_bad_coordinate(bad: int | None):
+    def loss_and_grad(theta: np.ndarray):
+        grad = 2 * theta
+        if bad is not None:
+            grad[bad] += 0.5
+        return float(theta @ theta), grad
+
+    return loss_and_grad
+
+
+def test_finite_diff_batched_loss_reports_one_wrong_coordinate() -> None:
+    theta = np.random.default_rng(5).standard_normal(7)
+    batched = lambda probes: (probes**2).sum(axis=-1)
+    assert finite_diff_check(_quadratic_with_bad_coordinate(None), theta, 1e-5, batched) < 1e-8
+    error = finite_diff_check(_quadratic_with_bad_coordinate(4), theta, 1e-5, batched)
+    assert error == pytest.approx(0.5 / max(1.0, abs(2 * theta[4] + 0.5)), rel=1e-6)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_finite_diff_names_first_non_finite_probe(batched: bool) -> None:
+    theta = np.array([1.0, 2.0, 1e-6, 3.0, 1e-6])  # coordinates 2 and 4 step below zero
+
+    def loss_and_grad(t: np.ndarray):
+        return float(np.log(t).sum()), 1.0 / t
+
+    loss_fn = (lambda probes: np.log(probes).sum(axis=-1)) if batched else None
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="probe coordinate 2$"):
+        finite_diff_check(loss_and_grad, theta, 1e-5, loss_fn)
 
 
 def _fusion_setup(rng: np.random.Generator, d: int) -> tuple[FusionPipelineParams, np.ndarray]:
@@ -378,6 +482,29 @@ def test_tensor_file_round_trip(tmp_path) -> None:
     assert meta == {"kind": "test"}
     for key in tensors:
         np.testing.assert_array_equal(loaded[key], tensors[key])
+
+
+def test_tensor_file_rejects_trailing_bytes(tmp_path) -> None:
+    path = tmp_path / "params.tensors"
+    save_tensors(path, {"bias": np.arange(3.0)})
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ValueError, match="trailing"):
+        load_tensors(path)
+
+
+def test_tensor_file_save_is_write_then_rename(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "params.tensors"
+    save_tensors(path, {"bias": np.arange(3.0)})
+    before = path.read_bytes()
+
+    def failed_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(records.os, "replace", failed_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        save_tensors(path, {"bias": np.arange(5.0)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["params.tensors"]
 
 
 def test_tensor_file_rejects_bad_magic(tmp_path) -> None:

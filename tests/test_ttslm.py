@@ -179,6 +179,22 @@ def test_predictive_distribution_normalizes() -> None:
     assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_fused_rows_are_rejected(bad: float) -> None:
+    rng = np.random.default_rng(49)
+    policy = SchedulePolicy(2, 2)
+    params = init_predictor(VOCAB, fused_dim=3, rng=rng)
+    C = rng.standard_normal((4, 3))
+    C[0, 0] = bad
+    Y = [VOCAB.speech_token(int(rng.integers(12))) for _ in range(3)]
+    with pytest.raises(ValueError, match="not finite"):
+        interleaved_loss(C, Y, policy, params)
+    with pytest.raises(ValueError, match="not finite"):
+        next_token_accuracy([(C, Y)], policy, params)
+    with pytest.raises(ValueError, match="not finite"):
+        predictive_distribution(C, Y[:1], 2, policy, params)
+
+
 # ---------------------------------------------------------------------------
 # analytic gradients
 
@@ -532,6 +548,27 @@ def test_fused_loss_gradients_match_finite_differences() -> None:
         return loss, pack_arrays(grad)
 
     assert finite_diff_check(loss_and_grad, pack_arrays(arrays), eps=1e-5) < 1e-5
+
+
+def test_fused_text_embedding_gradient_with_repeated_ids() -> None:
+    ffn, gate, params, hidden_states, _, Y = _fused_setup(np.random.default_rng(98))
+    text_ids = [2, 0, 2, 2]  # one table row receives three fusion-path gradients
+    policy = SchedulePolicy(2, 2)
+
+    def loss_and_grad(theta: np.ndarray):
+        probe = params.replace({**params.arrays(), "token_emb": theta.reshape(params.token_emb.shape)})
+        loss, _, _, d_pred = fused_loss_and_grads(hidden_states, text_ids, Y, policy, ffn, gate, probe)
+        return loss, d_pred["token_emb"].ravel()
+
+    assert finite_diff_check(loss_and_grad, params.token_emb.ravel(), eps=1e-5) < 1e-5
+
+
+def test_fused_representations_match_row_by_row() -> None:
+    ffn, gate, params, hidden_states, text_ids, _ = _fused_setup(np.random.default_rng(99))
+    C = fused_representations(ffn, gate, params.token_emb, hidden_states, text_ids)
+    for i, t in enumerate(text_ids):
+        row = fused_representations(ffn, gate, params.token_emb, hidden_states[i : i + 1], [t])
+        assert np.array_equal(C[i : i + 1], row)
 
 
 def test_fused_training_reduces_loss_with_frozen_sources() -> None:
