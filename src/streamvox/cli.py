@@ -57,7 +57,7 @@ def _cmd_simulate(args) -> int:
     timings = _load_timings(args.timing)
     policy = schedule.SchedulePolicy(args.R, args.W)
     breakdown = pipeline.first_chunk_latency(timings, policy)
-    _emit(args, breakdown.to_record())
+    timeline = None
     if args.timeline:
         scenario = pipeline.ScenarioConfig(
             policy=policy,
@@ -66,6 +66,8 @@ def _cmd_simulate(args) -> int:
             sample_rate=args.sample_rate,
         )
         timeline = pipeline.simulate_stream(scenario, timings)
+    _emit(args, breakdown.to_record())
+    if timeline is not None:
         records.write_jsonl(_resolve_out(args.timeline), timeline.to_records())
     return 0
 
@@ -152,10 +154,10 @@ def validate_config(config: dict) -> list[str]:
     if not isinstance(policy, dict):
         violations.append("policy: missing or not an object")
     else:
-        for key in ("read_block", "write_block"):
-            value = policy.get(key)
-            if not isinstance(value, int) or value < 1:
-                violations.append(f"policy.{key}: must be a positive integer, got {value!r}")
+        try:
+            schedule.SchedulePolicy(policy.get("read_block"), policy.get("write_block"))
+        except ValueError as exc:
+            violations.append(f"policy.{exc}")
     timing = config.get("timing")
     if timing is not None:
         stages = timing.get("stages") if isinstance(timing, dict) else None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -108,7 +108,8 @@ class ExternalServiceClient:
     "history": [{"instruction": ..., "response": ...}, ...]}`` and the reply
     must be ``{"instruction": ..., "response": ...}``.  ``transport`` performs
     one request/reply exchange (an HTTP POST in production, a fake in tests)
-    and is retried up to ``retries`` extra times on any exception.
+    and is retried up to ``retries`` extra times on any exception it raises.
+    A reply that arrives malformed raises ``ValueError`` without a retry.
     """
 
     transport: Callable[[dict, float], dict]
@@ -125,9 +126,14 @@ class ExternalServiceClient:
         for _ in range(self.retries + 1):
             try:
                 reply = self.transport(request, self.timeout_s)
-                return str(reply["instruction"]), str(reply["response"])
             except Exception as exc:
                 failure = exc
+                continue
+            if not isinstance(reply, Mapping) or not {"instruction", "response"} <= reply.keys():
+                raise ValueError(
+                    f"malformed turn reply: expected a mapping with 'instruction' and 'response', got {reply!r}"
+                )
+            return str(reply["instruction"]), str(reply["response"])
         raise RuntimeError(f"turn generation failed after {self.retries + 1} attempts: {failure}")
 
 

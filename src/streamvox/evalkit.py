@@ -29,28 +29,52 @@ def normalize_text(text: str) -> str:
 
 
 def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> int:
-    """Levenshtein distance over token sequences (unit costs)."""
+    """Levenshtein distance over token sequences (unit costs).
+
+    Bit-parallel: Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's
+    global-distance form (2001).  Bit ``j`` of ``peq[tok]`` marks the
+    positions where the longer sequence holds ``tok``.  ``pv``/``mv`` flag the
+    +1/-1 vertical deltas of one DP column, and ``ph``/``mh`` the horizontal
+    ones; ``score`` follows the bottom row, read from the top bit.  Each token
+    of the shorter sequence (length n) updates the whole column of the longer
+    one (length m) in a dozen operations on m-bit Python ints.  Cost:
+    O(n * ceil(m / 30)) digit operations and O(m) memory.
+    """
     if len(ref) < len(hyp):
         ref, hyp = hyp, ref
-    previous = list(range(len(hyp) + 1))
-    for i, ref_tok in enumerate(ref, start=1):
-        current = [i]
-        for j, hyp_tok in enumerate(hyp, start=1):
-            if ref_tok == hyp_tok:
-                current.append(previous[j - 1])
-            else:
-                current.append(1 + min(previous[j - 1], previous[j], current[-1]))
-        previous = current
-    return previous[-1]
+    m = len(ref)
+    peq: dict = {}
+    for j, tok in enumerate(ref):
+        peq[tok] = peq.get(tok, 0) | 1 << j
+    full = (1 << m) - 1
+    top = m - 1
+    pv, mv, score = full, 0, m
+    for tok in hyp:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & full
+        mh = pv & xh
+        score += (ph >> top) - (mh >> top)
+        ph = ph << 1 | 1  # row 0 of the DP is 0, 1, 2, ...: every step adds +1
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
+
+
+def _distance_and_length(reference: str, hypothesis: str) -> tuple[int, int]:
+    """(edit distance, reference length) on normalized tokens."""
+    ref = normalize(reference)
+    if not ref:
+        raise ValueError("reference normalizes to zero tokens")
+    return edit_distance(ref, normalize(hypothesis)), len(ref)
 
 
 def wer(reference: str, hypothesis: str) -> float:
     """(substitutions + insertions + deletions) / reference length, on
     normalized tokens."""
-    ref = normalize(reference)
-    if not ref:
-        raise ValueError("reference normalizes to zero tokens")
-    return edit_distance(ref, normalize(hypothesis)) / len(ref)
+    distance, ref_len = _distance_and_length(reference, hypothesis)
+    return distance / ref_len
 
 
 def spokenqa_accuracy(items: Sequence[tuple[str, Sequence[str]]]) -> float:
@@ -130,13 +154,10 @@ def aggregate_report(
         distance_total = 0
         ref_total = 0
         for reference, hypothesis in wer_items:
-            ref = normalize(reference)
-            if not ref:
-                raise ValueError("reference normalizes to zero tokens")
-            distance = edit_distance(ref, normalize(hypothesis))
-            report.per_item_wer.append(distance / len(ref))
+            distance, ref_len = _distance_and_length(reference, hypothesis)
+            report.per_item_wer.append(distance / ref_len)
             distance_total += distance
-            ref_total += len(ref)
+            ref_total += ref_len
         report.wer_items = len(wer_items)
         report.total_edit_distance = distance_total
         report.total_reference_tokens = ref_total

@@ -30,6 +30,7 @@ demos and the regression tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -69,13 +70,13 @@ class StageTimingModel:
             counts = [c for c, _ in self.points]
             if len(set(counts)) != len(counts):
                 raise ValueError(f"duplicate counts in lookup table for stage {self.stage!r}")
-            if any(cost < 0 for _, cost in self.points):
-                raise ValueError("lookup costs must be non-negative")
+            for count, cost in self.points:
+                _check_cost(f"stage {self.stage!r} lookup cost at count {count}", cost)
         else:
             if self.intercept_ms is None or self.per_token_ms is None:
                 raise ValueError("affine form needs both intercept_ms and per_token_ms")
-            if self.intercept_ms < 0 or self.per_token_ms < 0:
-                raise ValueError("affine coefficients must be non-negative")
+            _check_cost(f"stage {self.stage!r} intercept_ms", self.intercept_ms)
+            _check_cost(f"stage {self.stage!r} per_token_ms", self.per_token_ms)
 
     @classmethod
     def lookup(cls, stage: str, table: Mapping[int, float]) -> "StageTimingModel":
@@ -120,6 +121,11 @@ class StageTimingModel:
         if record.get("form") == "affine":
             return cls.affine(record["stage"], float(record["intercept_ms"]), float(record["per_token_ms"]))
         raise ValueError(f"unknown timing form {record.get('form')!r}")
+
+
+def _check_cost(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -372,6 +378,9 @@ def calibrate_affine(
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples to fit an affine model")
+    for i, (count, cost) in enumerate(samples):
+        if not (math.isfinite(count) and math.isfinite(cost)):
+            raise ValueError(f"sample {i} ({count!r}, {cost!r}) is not finite")
     counts = np.asarray([c for c, _ in samples], dtype=float)
     costs = np.asarray([m for _, m in samples], dtype=float)
     if np.unique(counts).size < 2:

@@ -32,10 +32,10 @@ class SchedulePolicy:
     write_block: int
 
     def __post_init__(self) -> None:
-        if self.read_block < 1:
-            raise ValueError(f"read_block must be >= 1, got {self.read_block}")
-        if self.write_block < 1:
-            raise ValueError(f"write_block must be >= 1, got {self.write_block}")
+        for name in ("read_block", "write_block"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,19 @@ def test_simulate_accepts_timing_file(tmp_path, capsys) -> None:
     assert json.loads(out)["total_ms"] == pytest.approx(120.0 + 20.0 + 54.0)
 
 
+def test_failed_timeline_writes_nothing(tmp_path, capsys) -> None:
+    # the lookup presets only cover first-chunk counts: chunk 2 has no llm entry at 6
+    timeline_path = tmp_path / "timeline.jsonl"
+    code, out, err = run(
+        capsys, "simulate", "--timing", "table7b", "--R", "3", "--W", "10",
+        "--n-text", "9", "--m-speech", "30", "--timeline", str(timeline_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_missing_timing_file(capsys) -> None:
     code, _, err = run(capsys, "simulate", "--timing", "nowhere.json", "--R", "3", "--W", "10")
     assert code == 3
@@ -265,6 +278,14 @@ def test_validate_config_flags_zero_read_block(tmp_path, capsys) -> None:
     assert code == 1
     violations = json.loads(out)["violations"]
     assert any("policy.read_block" in v for v in violations)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", None])
+def test_validate_config_flags_non_integer_blocks(value) -> None:
+    for key in ("read_block", "write_block"):
+        config = good_config()
+        config["policy"][key] = value
+        assert validate_config(config) == [f"policy.{key} must be a positive integer, got {value!r}"]
 
 
 def test_validate_config_flags_duplicate_lookup_counts(tmp_path, capsys) -> None:

@@ -163,6 +163,22 @@ def test_external_client_exhausts_retries() -> None:
         client.next_turn(())
 
 
+@pytest.mark.parametrize(
+    "reply", [["turn", "fine"], "turn", None, {"instruction": "turn"}, {"response": "fine"}]
+)
+def test_external_client_does_not_retry_malformed_replies(reply) -> None:
+    calls = []
+
+    def transport(request, timeout):
+        calls.append(request["turn_index"])
+        return reply
+
+    client = ExternalServiceClient(transport=transport, retries=2)
+    with pytest.raises(ValueError, match="malformed turn reply"):
+        client.next_turn(())
+    assert calls == [1]
+
+
 def test_external_client_sends_history() -> None:
     seen = {}
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamvox import records
 from streamvox.evalkit import (
@@ -87,6 +89,73 @@ def test_edit_distance_matches_oracle_on_random_pairs() -> None:
         assert edit_distance(ref, hyp) == _oracle_distance(ref, hyp)
 
 
+@st.composite
+def token_pairs(draw):
+    """Two token lists of 0-300 tokens, so the bitmasks cross 64 and 128 bits,
+    over a small alphabet (many matches) or a large one (few matches)."""
+    alphabet = draw(st.sampled_from([2, 3, 5, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ref, hyp = (
+        [str(t) for t in rng.integers(0, alphabet, size=draw(st.integers(0, 300)))] for _ in range(2)
+    )
+    return ref, hyp
+
+
+@settings(max_examples=40, deadline=None)
+@given(token_pairs())
+def test_edit_distance_matches_oracle_on_long_pairs(pair) -> None:
+    ref, hyp = pair
+    expected = _oracle_distance(ref, hyp)
+    assert edit_distance(ref, hyp) == expected
+    assert edit_distance(hyp, ref) == expected
+
+
+def test_edit_distance_matches_oracle_at_word_boundaries() -> None:
+    rng = np.random.default_rng(11)
+    for m in (1, 29, 30, 31, 63, 64, 65, 127, 128, 129, 200):
+        for n in (0, 1, m // 2, m, m + 1):
+            for alphabet in (("a", "b"), tuple(f"w{i}" for i in range(500))):
+                ref = [str(t) for t in rng.choice(alphabet, size=m)]
+                hyp = [str(t) for t in rng.choice(alphabet, size=n)]
+                expected = _oracle_distance(ref, hyp)
+                assert edit_distance(ref, hyp) == expected
+                assert edit_distance(hyp, ref) == expected
+
+
+def test_edit_distance_with_empty_sides() -> None:
+    assert edit_distance([], []) == 0
+    assert edit_distance([], ["a", "b", "c"]) == 3
+    assert edit_distance(["a"] * 130, []) == 130
+
+
+def test_edit_distance_of_identical_sequences_is_zero() -> None:
+    seq = [f"w{i % 7}" for i in range(257)]
+    assert edit_distance(seq, list(seq)) == 0
+
+
+def test_edit_distance_of_disjoint_sequences_is_the_longer_length() -> None:
+    for m, n in ((1, 1), (64, 3), (70, 130), (129, 129)):
+        assert edit_distance(["a"] * m, ["b"] * n) == max(m, n)
+        assert edit_distance([f"x{i}" for i in range(m)], [f"y{i}" for i in range(n)]) == max(m, n)
+
+
+def test_edit_distance_accepts_strings() -> None:
+    assert edit_distance("kitten", "sitting") == 3
+    assert edit_distance("flaw", "lawn") == 2
+    assert edit_distance("", "abc") == 3
+
+
+def test_edit_distance_with_repeats_at_the_top_bit() -> None:
+    # the last token of the longer side (bit m - 1) also occurs earlier
+    assert edit_distance(["b"] + ["a"] * 63 + ["b"], ["b"]) == 64
+    assert edit_distance(["t"] * 129, ["t"]) == 128
+    assert edit_distance(["a", "b", "a"], ["a"]) == 2
+    for m in (63, 64, 65, 128):
+        ref = ["a", "b"] * (m // 2) + ["a"] * (m % 2) + ["b"]
+        hyp = ["b", "a", "b"]
+        assert edit_distance(ref, hyp) == _oracle_distance(ref, hyp)
+
+
 def test_edit_distance_is_a_metric() -> None:
     rng = np.random.default_rng(7)
     for _ in range(150):
@@ -96,6 +165,17 @@ def test_edit_distance_is_a_metric() -> None:
         assert edit_distance(a, b) == edit_distance(b, a)
         assert edit_distance(a, b) == 0 if a == b else edit_distance(a, b) > 0
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
+
+
+def test_wer_and_report_share_one_scoring_path() -> None:
+    items = [("The cat sat.", "the cat sat on"), ("a b c d", "a x c")]
+    report = aggregate_report(wer_items=items)
+    assert report.per_item_wer == [wer(r, h) for r, h in items]
+    assert report.total_edit_distance == 3
+    assert report.total_reference_tokens == 7
+    for score in (lambda: wer("?!", "x"), lambda: aggregate_report(wer_items=[("a", "a"), ("...", "x")])):
+        with pytest.raises(ValueError, match="^reference normalizes to zero tokens$"):
+            score()
 
 
 # ---------------------------------------------------------------------------

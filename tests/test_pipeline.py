@@ -66,6 +66,19 @@ def test_timing_model_validation() -> None:
         StageTimingModel.affine("warp", 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_timing_models_reject_non_finite_costs(bad) -> None:
+    with pytest.raises(ValueError, match="intercept_ms must be finite"):
+        StageTimingModel.affine(STAGE_LLM, bad, 1.0)
+    with pytest.raises(ValueError, match="per_token_ms must be finite"):
+        StageTimingModel.affine(STAGE_LLM, 1.0, bad)
+    with pytest.raises(ValueError, match="lookup cost at count 3 must be finite"):
+        StageTimingModel.lookup(STAGE_LLM, {1: 2.0, 3: bad})
+    record = {"schema": "timing/v1", "stage": "tts", "form": "affine", "intercept_ms": bad, "per_token_ms": 1.0}
+    with pytest.raises(ValueError, match="intercept_ms must be finite"):
+        StageTimingModel.from_record(record)
+
+
 def test_stage_bundle_requires_exactly_one_synthesis_form() -> None:
     llm = StageTimingModel.affine(STAGE_LLM, 0, 1)
     tts = StageTimingModel.affine(STAGE_TTS, 0, 1)
@@ -267,6 +280,12 @@ def test_calibrate_rejects_degenerate_samples() -> None:
         calibrate_affine([(3, 10.0)])
     with pytest.raises(ValueError):
         calibrate_affine([(3, 10.0), (3, 12.0)])
+
+
+@pytest.mark.parametrize("sample", [(2, float("nan")), (2, float("inf")), (float("nan"), 3.0)])
+def test_calibrate_rejects_non_finite_samples(sample) -> None:
+    with pytest.raises(ValueError, match=r"^sample 1 \("):
+        calibrate_affine([(1, 1.0), sample, (4, 5.0)])
 
 
 def test_fitted_models_predict_monotonically() -> None:

@@ -45,6 +45,14 @@ def test_policy_rejects_nonpositive_blocks() -> None:
         SchedulePolicy(3, 0)
 
 
+@pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "3", None, np.int64(3)])
+def test_policy_rejects_non_integer_blocks(value) -> None:
+    with pytest.raises(ValueError, match="read_block must be a positive integer"):
+        SchedulePolicy(value, 2)
+    with pytest.raises(ValueError, match="write_block must be a positive integer"):
+        SchedulePolicy(2, value)
+
+
 def test_build_sequence_reference_case() -> None:
     actions = build_sequence(6, 25, policy(3, 10))
     assert actions == [
