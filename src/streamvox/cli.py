@@ -63,7 +63,6 @@ def _cmd_simulate(args) -> int:
             policy=policy,
             n_text=args.n_text if args.n_text is not None else args.R,
             m_speech=args.m_speech if args.m_speech is not None else args.W,
-            sample_rate=args.sample_rate,
         )
         timeline = pipeline.simulate_stream(scenario, timings)
     _emit(args, breakdown.to_record())
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--W", type=int, required=True, help="speech tokens per write block")
     p.add_argument("--n-text", type=int, help="planned fused-representation count (default: R)")
     p.add_argument("--m-speech", type=int, help="planned speech-token count (default: W)")
-    p.add_argument("--sample-rate", type=int, default=pipeline.DEFAULT_SAMPLE_RATE)
     p.add_argument("--timeline", help="also write per-chunk timeline records (JSONL) here")
     common(p)
     p.set_defaults(handler=_cmd_simulate)

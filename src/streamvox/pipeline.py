@@ -31,6 +31,7 @@ demos and the regression tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -67,11 +68,15 @@ class StageTimingModel:
         if is_lookup == is_affine:
             raise ValueError("exactly one of lookup points or affine coefficients required")
         if is_lookup:
+            # Count 0 is free by convention (see cost_ms), so a table never holds it.
+            for count, cost in self.points:
+                if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                    raise ValueError(f"stage {self.stage!r} lookup count must be a positive integer, got {count!r}")
+                _check_cost(f"stage {self.stage!r} lookup cost at count {count}", cost)
             counts = [c for c, _ in self.points]
             if len(set(counts)) != len(counts):
                 raise ValueError(f"duplicate counts in lookup table for stage {self.stage!r}")
-            for count, cost in self.points:
-                _check_cost(f"stage {self.stage!r} lookup cost at count {count}", cost)
+            object.__setattr__(self, "points", tuple(sorted(self.points)))
         else:
             if self.intercept_ms is None or self.per_token_ms is None:
                 raise ValueError("affine form needs both intercept_ms and per_token_ms")
@@ -80,7 +85,7 @@ class StageTimingModel:
 
     @classmethod
     def lookup(cls, stage: str, table: Mapping[int, float]) -> "StageTimingModel":
-        return cls(stage=stage, points=tuple(sorted(table.items())))
+        return cls(stage=stage, points=tuple(table.items()))
 
     @classmethod
     def affine(cls, stage: str, intercept_ms: float, per_token_ms: float) -> "StageTimingModel":
@@ -95,9 +100,9 @@ class StageTimingModel:
         if self.points is not None:
             for c, cost in self.points:
                 if c == count:
-                    return cost
+                    return float(cost)
             raise KeyError(f"stage {self.stage!r} lookup has no entry for count {count}")
-        return self.intercept_ms + self.per_token_ms * count
+        return float(self.intercept_ms + self.per_token_ms * count)
 
     def to_record(self) -> dict:
         record: dict = {"schema": "timing/v1", "stage": self.stage}
@@ -117,14 +122,14 @@ class StageTimingModel:
             counts = [c for c, _ in points]
             if len(set(counts)) != len(counts):
                 raise ValueError(f"duplicate counts in timing record for stage {record.get('stage')!r}")
-            return cls.lookup(record["stage"], {int(c): float(m) for c, m in points})
+            return cls.lookup(record["stage"], dict(points))
         if record.get("form") == "affine":
-            return cls.affine(record["stage"], float(record["intercept_ms"]), float(record["per_token_ms"]))
+            return cls.affine(record["stage"], record["intercept_ms"], record["per_token_ms"])
         raise ValueError(f"unknown timing form {record.get('form')!r}")
 
 
 def _check_cost(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
@@ -186,13 +191,10 @@ class ScenarioConfig:
     policy: SchedulePolicy
     n_text: int
     m_speech: int
-    sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self) -> None:
         if self.n_text < 1 or self.m_speech < 1:
             raise ValueError("scenario token counts must be >= 1")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
     def to_record(self) -> dict:
         return {
@@ -201,7 +203,6 @@ class ScenarioConfig:
             "write_block": self.policy.write_block,
             "n_text": self.n_text,
             "m_speech": self.m_speech,
-            "sample_rate": self.sample_rate,
         }
 
 

@@ -7,7 +7,8 @@ bundled reference implementation is a small linear model over the feature
 ``[mean of visible fused representations ; embedding of previous token]``.
 What the module actually proves is schedule semantics: the masked
 interleaved loss conditions each speech token on exactly its visible prefix,
-decoding follows the read/write cadence, and all gradients are closed form.
+decoding follows the read/write cadence, and all gradients are closed form,
+taken through one batched forward pass over all positions of a sample.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .numerics import (
     sgd_step,
     softmax,
 )
-from .schedule import READ, WRITE, Action, SchedulePolicy, visible_prefix
+from .schedule import READ, WRITE, Action, SchedulePolicy, training_mask, visible_prefix
 
 KIND_TEXT = "text"
 KIND_SPEECH = "speech"
@@ -149,18 +150,19 @@ class PredictorParams:
     def start_row(self) -> int:
         return self.vocab.total_size
 
-    def _feature(self, visible: np.ndarray, prev_ids: Sequence[int]) -> np.ndarray:
-        if visible.ndim != 2 or visible.shape[0] < 1 or visible.shape[1] != self.fused_dim:
-            raise ValueError(
-                f"visible must be (v >= 1, {self.fused_dim}), got {visible.shape}"
-            )
-        prev = prev_ids[-1] if len(prev_ids) else self.start_row
-        return np.concatenate([visible.mean(axis=0), self.token_emb[prev]])
+    def forward(self, means: np.ndarray, prev) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(features, hidden, logits)`` for visible-prefix means ``(..., d)``
+        and previous-token ids ``(...)``; leading axes are batch axes."""
+        features = np.concatenate([means, self.token_emb[prev]], axis=-1)
+        hidden = features @ self.feat_weight.T + self.feat_bias
+        return features, hidden, hidden @ self.out_weight.T + self.out_bias
 
     def logits(self, visible: np.ndarray, prev_ids: Sequence[int]) -> np.ndarray:
-        feature = self._feature(np.asarray(visible, dtype=float), prev_ids)
-        hidden = self.feat_weight @ feature + self.feat_bias
-        return self.out_weight @ hidden + self.out_bias
+        visible = np.asarray(visible, dtype=float)
+        if visible.ndim != 2 or visible.shape[0] < 1 or visible.shape[1] != self.fused_dim:
+            raise ValueError(f"visible must be (v >= 1, {self.fused_dim}), got {visible.shape}")
+        prev = prev_ids[-1] if len(prev_ids) else self.start_row
+        return self.forward(visible.mean(axis=0), prev)[-1]
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {
@@ -210,23 +212,21 @@ def _check_inputs(C, Y: Sequence[int], vocab: ExtendedVocab) -> np.ndarray:
     return C
 
 
+def _masked_logits(C, Y: Sequence[int], policy: SchedulePolicy, model: Predictor) -> np.ndarray:
+    """``(len(Y), V)`` logits; row ``i`` is the model's given ``Y[:i]`` and only
+    the ``training_mask`` prefix of ``C``, never a row past it."""
+    C = _check_inputs(C, Y, model.vocab)
+    logits = np.empty((len(Y), model.vocab.total_size))
+    for i, v in enumerate(training_mask(C.shape[0], len(Y), policy)):
+        logits[i] = model.logits(C[:v], Y[:i])
+    return logits
+
+
 def interleaved_loss_terms(
     C, Y: Sequence[int], policy: SchedulePolicy, model: Predictor
 ) -> np.ndarray:
-    """Per-position negative log probabilities under the schedule mask.
-
-    Position ``i`` is scored with the model conditioned on exactly
-    ``visible_prefix(i)`` fused representations and the previously generated
-    tokens; representations past the prefix are never passed to the model.
-    """
-    C = _check_inputs(C, Y, model.vocab)
-    n = C.shape[0]
-    terms = np.empty(len(Y))
-    for i, target in enumerate(Y, start=1):
-        v = visible_prefix(i, n, policy)
-        logits = model.logits(C[:v], Y[: i - 1])
-        terms[i - 1] = cross_entropy(logits, target)
-    return terms
+    """Per-position negative log probabilities under the schedule mask."""
+    return cross_entropy(_masked_logits(C, Y, policy, model), np.asarray(Y, dtype=int))
 
 
 def interleaved_loss(C, Y: Sequence[int], policy: SchedulePolicy, model: Predictor) -> float:
@@ -245,30 +245,35 @@ def predictive_distribution(
 def interleaved_loss_and_grads(
     C, Y: Sequence[int], policy: SchedulePolicy, params: PredictorParams
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Loss, analytic parameter gradients, and the gradient w.r.t. ``C``."""
+    """Loss, analytic parameter gradients, and the gradient w.r.t. ``C``, from
+    one batched ``params.forward`` over all positions; the prefix means are
+    read off one running sum of ``C``, so no position depends on later rows."""
     C = _check_inputs(C, Y, params.vocab)
     n, d = C.shape
-    grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-    d_C = np.zeros_like(C)
-    total = 0.0
-    for i, target in enumerate(Y, start=1):
-        v = visible_prefix(i, n, policy)
-        prev = Y[i - 2] if i >= 2 else params.start_row
-        feature = np.concatenate([C[:v].mean(axis=0), params.token_emb[prev]])
-        hidden = params.feat_weight @ feature + params.feat_bias
-        logits = params.out_weight @ hidden + params.out_bias
-        total += cross_entropy(logits, target)
+    v = np.array(training_mask(n, len(Y), policy), dtype=int)
+    prev = np.array([params.start_row, *Y], dtype=int)[: len(Y)]
+    means = np.cumsum(C, axis=0)[v - 1] / v[:, None]
+    features, hidden, logits = params.forward(means, prev)
+    target = np.asarray(Y, dtype=int)
+    loss = float(cross_entropy(logits, target).sum())
 
-        d_logits = cross_entropy_grads(logits, target)
-        grads["out_weight"] += np.outer(d_logits, hidden)
-        grads["out_bias"] += d_logits
-        d_hidden = params.out_weight.T @ d_logits
-        grads["feat_weight"] += np.outer(d_hidden, feature)
-        grads["feat_bias"] += d_hidden
-        d_feature = params.feat_weight.T @ d_hidden
-        d_C[:v] += d_feature[:d] / v
-        grads["token_emb"][prev] += d_feature[d:]
-    return total, grads, d_C
+    d_logits = cross_entropy_grads(logits, target)
+    d_hidden = d_logits @ params.out_weight
+    d_features = d_hidden @ params.feat_weight
+    grads = {
+        "token_emb": np.zeros_like(params.token_emb),
+        "feat_weight": d_hidden.T @ features,
+        "feat_bias": d_hidden.sum(axis=0),
+        "out_weight": d_logits.T @ hidden,
+        "out_bias": d_logits.sum(axis=0),
+    }
+    np.add.at(grads["token_emb"], prev, d_features[:, d:])  # ids repeat
+    # Each mean spreads d_mean / v over rows 0..v-1: scatter it at row v-1,
+    # then a reverse running sum hands every row the share of each mean it is in.
+    d_sums = np.zeros_like(C)
+    np.add.at(d_sums, v - 1, d_features[:, :d] / v[:, None])
+    d_C = np.cumsum(d_sums[::-1], axis=0)[::-1]
+    return loss, grads, d_C
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +469,10 @@ def next_token_accuracy(
     dataset: Sequence[tuple], policy: SchedulePolicy, model: Predictor
 ) -> float:
     """Fraction of positions where the model's argmax equals the target."""
-    hits = 0
-    total = 0
+    hits = total = 0
     for C, Y in dataset:
-        C = _check_inputs(C, Y, model.vocab)
-        for i, target in enumerate(Y, start=1):
-            v = visible_prefix(i, C.shape[0], policy)
-            hits += int(np.argmax(model.logits(C[:v], Y[: i - 1])) == target)
-            total += 1
+        hits += int((_masked_logits(C, Y, policy, model).argmax(axis=-1) == np.asarray(Y)).sum())
+        total += len(Y)
     if total == 0:
         raise ValueError("dataset has no positions to score")
     return hits / total

@@ -305,6 +305,48 @@ def test_validate_config_flags_duplicate_stage_models() -> None:
     assert any("duplicate stage" in v for v in violations)
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[-3, 1.0]], "lookup count must be a positive integer, got -3"),
+        ([[0, 1.0]], "lookup count must be a positive integer, got 0"),
+        ([[2.7, 1.0]], "lookup count must be a positive integer, got 2.7"),
+        ([[True, 1.0]], "lookup count must be a positive integer, got True"),
+        ([[3, True]], "lookup cost at count 3 must be finite and non-negative, got True"),
+        ([[3, "231"]], "lookup cost at count 3 must be finite and non-negative, got '231'"),
+    ],
+)
+def test_validate_config_flags_bad_lookup_points(tmp_path, capsys, points, message) -> None:
+    config = good_config()
+    config["timing"]["stages"][0]["points"] = points
+    path = tmp_path / "config.json"
+    records.write_json(path, config)
+    code, out, _ = run(capsys, "validate-config", str(path))
+    assert code == 1
+    assert json.loads(out)["violations"] == [f"timing.stages[0]: stage 'llm' {message}"]
+
+
+@pytest.mark.parametrize("value", [True, "164.3"])
+def test_validate_config_flags_bad_affine_coefficients(tmp_path, capsys, value) -> None:
+    config = good_config()
+    config["timing"]["stages"][0] = {
+        "schema": "timing/v1", "stage": "llm", "form": "affine", "intercept_ms": value, "per_token_ms": 21.6,
+    }
+    path = tmp_path / "config.json"
+    records.write_json(path, config)
+    code, out, _ = run(capsys, "validate-config", str(path))
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        f"timing.stages[0]: stage 'llm' intercept_ms must be finite and non-negative, got {value!r}"
+    ]
+
+
+def test_simulate_has_no_sample_rate_flag(capsys) -> None:
+    code, _, err = run(capsys, "simulate", "--timing", "table7b", "--R", "3", "--W", "10", "--sample-rate", "16000")
+    assert code == 2
+    assert "unrecognized arguments: --sample-rate" in err
+
+
 def test_validate_config_rejects_non_object_document(tmp_path, capsys) -> None:
     path = tmp_path / "config.json"
     path.write_text("[1, 2]\n", encoding="utf-8")

@@ -79,6 +79,40 @@ def test_timing_models_reject_non_finite_costs(bad) -> None:
         StageTimingModel.from_record(record)
 
 
+@pytest.mark.parametrize("count", [-3, 0])
+def test_lookup_rejects_counts_below_one(count) -> None:
+    with pytest.raises(ValueError, match=f"lookup count must be a positive integer, got {count}"):
+        StageTimingModel.lookup(STAGE_LLM, {count: 1.0, 3: 2.0})
+
+
+@pytest.mark.parametrize("count", [2.7, 2.0, True, "2", None])
+def test_timing_record_rejects_non_integer_counts(count) -> None:
+    record = {"schema": "timing/v1", "stage": "llm", "form": "lookup", "points": [[count, 1.0]]}
+    with pytest.raises(ValueError, match=f"lookup count must be a positive integer, got {count!r}"):
+        StageTimingModel.from_record(record)
+
+
+@pytest.mark.parametrize("value", [True, False, "1.0"])
+def test_timing_record_rejects_bool_and_non_numeric_costs(value) -> None:
+    lookup = {"schema": "timing/v1", "stage": "llm", "form": "lookup", "points": [[3, value]]}
+    with pytest.raises(ValueError, match=f"lookup cost at count 3 must be finite and non-negative, got {value!r}"):
+        StageTimingModel.from_record(lookup)
+    for field in ("intercept_ms", "per_token_ms"):
+        affine = {"schema": "timing/v1", "stage": "tts", "form": "affine", "intercept_ms": 1.0, "per_token_ms": 2.0}
+        affine[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative, got {value!r}"):
+            StageTimingModel.from_record(affine)
+
+
+def test_timing_record_with_integer_costs_evaluates_to_floats() -> None:
+    record = {"schema": "timing/v1", "stage": "llm", "form": "lookup", "points": [[5, 2], [3, 1]]}
+    model = StageTimingModel.from_record(record)
+    assert model.points == ((3, 1), (5, 2))
+    assert type(model.cost_ms(3)) is float and model.cost_ms(3) == 1.0
+    affine = StageTimingModel.affine(STAGE_LLM, 1, 2)
+    assert type(affine.cost_ms(3)) is float and affine.cost_ms(3) == 7.0
+
+
 def test_stage_bundle_requires_exactly_one_synthesis_form() -> None:
     llm = StageTimingModel.affine(STAGE_LLM, 0, 1)
     tts = StageTimingModel.affine(STAGE_TTS, 0, 1)
@@ -230,8 +264,6 @@ def test_simulation_rejects_missing_lookup_entries() -> None:
 def test_scenario_validation() -> None:
     with pytest.raises(ValueError):
         ScenarioConfig(policy=SchedulePolicy(1, 1), n_text=0, m_speech=5)
-    with pytest.raises(ValueError):
-        ScenarioConfig(policy=SchedulePolicy(1, 1), n_text=1, m_speech=1, sample_rate=0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from streamvox.numerics import (
     FfnParams,
     GateParams,
     cross_entropy,
+    cross_entropy_grads,
     finite_diff_check,
     log_softmax,
     pack_arrays,
@@ -240,6 +241,76 @@ def test_interleaved_loss_gradient_wrt_inputs() -> None:
         return loss, d_C.ravel()
 
     assert finite_diff_check(loss_and_grad, C.ravel(), eps=1e-5) < 1e-5
+
+
+def _looped_loss_and_grads(C, Y, policy, params):
+    """Reference: one forward and backward pass per position, each re-meaning
+    its visible prefix."""
+    n, d = C.shape
+    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+    d_C = np.zeros_like(C)
+    total = 0.0
+    for i, target in enumerate(Y, start=1):
+        v = visible_prefix(i, n, policy)
+        prev = Y[i - 2] if i >= 2 else params.start_row
+        feature = np.concatenate([C[:v].mean(axis=0), params.token_emb[prev]])
+        hidden = params.feat_weight @ feature + params.feat_bias
+        logits = params.out_weight @ hidden + params.out_bias
+        total += cross_entropy(logits, target)
+        d_logits = cross_entropy_grads(logits, target)
+        grads["out_weight"] += np.outer(d_logits, hidden)
+        grads["out_bias"] += d_logits
+        d_hidden = params.out_weight.T @ d_logits
+        grads["feat_weight"] += np.outer(d_hidden, feature)
+        grads["feat_bias"] += d_hidden
+        d_feature = params.feat_weight.T @ d_hidden
+        d_C[:v] += d_feature[:d] / v
+        grads["token_emb"][prev] += d_feature[d:]
+    return total, grads, d_C
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    R=st.integers(1, 4),
+    W=st.integers(1, 4),
+    n=st.integers(1, 9),
+    m=st.integers(0, 16),
+    alphabet=st.integers(1, 3),
+    sizes=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_gradients_match_per_position_loop(R, W, n, m, alphabet, sizes, seed) -> None:
+    rng = np.random.default_rng(seed)
+    d, emb, hidden = sizes
+    policy = SchedulePolicy(R, W)
+    params = init_predictor(VOCAB, fused_dim=d, emb_dim=emb, hidden_dim=hidden, rng=rng)
+    params = params.replace(
+        {**params.arrays(), "feat_bias": rng.standard_normal(hidden), "out_bias": rng.standard_normal(17)}
+    )
+    C = rng.standard_normal((n, d))
+    # A small alphabet makes previous-token ids repeat; EOS may appear too.
+    Y = [int(t) for t in rng.choice([VOCAB.speech_token(k) for k in range(alphabet)] + [VOCAB.eos_id], m)]
+
+    loss, grads, d_C = interleaved_loss_and_grads(C, Y, policy, params)
+    ref_loss, ref_grads, ref_d_C = _looped_loss_and_grads(C, Y, policy, params)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-300)
+    assert loss == pytest.approx(interleaved_loss(C, Y, policy, params), rel=1e-12, abs=1e-300)
+    assert sorted(grads) == sorted(ref_grads)
+    for key, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[key], ref, rtol=1e-12, atol=1e-12, err_msg=key)
+    np.testing.assert_allclose(d_C, ref_d_C, rtol=1e-12, atol=1e-12)
+
+    # Rows that no position sees get exactly zero gradient, and changing them
+    # changes nothing else, bit for bit.
+    seen = max((visible_prefix(i, n, policy) for i in range(1, m + 1)), default=0)
+    assert not d_C[seen:].any()
+    perturbed = C.copy()
+    perturbed[seen:] += 10.0 * rng.standard_normal((n - seen, d))
+    loss_p, grads_p, d_C_p = interleaved_loss_and_grads(perturbed, Y, policy, params)
+    assert loss_p == loss
+    for key in grads:
+        np.testing.assert_array_equal(grads_p[key], grads[key])
+    np.testing.assert_array_equal(d_C_p, d_C)
 
 
 # ---------------------------------------------------------------------------
