@@ -72,8 +72,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    points = [(int(c), float(ms)) for c, ms in records.read_json(args.points)]
-    model, residual = pipeline.calibrate_affine(points, stage=args.stage)
+    model, residual = pipeline.calibrate_affine(records.read_json(args.points), stage=args.stage)
     _emit(args, {"schema": "calibration/v1", "model": model.to_record(), "max_residual_ms": residual})
     return 0
 

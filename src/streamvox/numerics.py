@@ -7,6 +7,11 @@ alone, and ``*_grads`` kernels (closed form, checked against central finite
 differences) sum parameter gradients over rows and return per-row input
 gradients.  Trailing shapes are validated explicitly.
 
+Gate fusion of a projected hidden state with a token embedding has one
+forward, :func:`fuse`, and one backward, :func:`fuse_grads`.  Heads sit on
+that pair: the linear class head of :func:`fusion_loss` here, and the
+speech-token predictor in ``ttslm``.
+
 The two-layer projection uses tanh between its layers.  A smooth activation
 keeps the finite-difference checks exact near machine precision; the choice
 is otherwise unconstrained.
@@ -23,13 +28,6 @@ import numpy as np
 from . import records
 
 _TENSOR_MAGIC = b"#tensors-v1\n"
-
-
-def _as_vector(name: str, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
 
 
 def _rows(name: str, x, width: int | None = None) -> np.ndarray:
@@ -150,29 +148,16 @@ def adapter_downsample(frames, group_size: int) -> np.ndarray:
     """Concatenate every ``group_size`` consecutive frames along the feature
     axis; frames beyond the last full group are dropped.
 
-    ``frames`` is a (T, f) array or a list of equal-length vectors; the result
-    has shape (T // group_size, group_size * f).
+    ``frames`` is a (T, f) array; the result has shape
+    (T // group_size, group_size * f).
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    if isinstance(frames, np.ndarray):
-        if frames.ndim != 2:
-            raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
-        stacked = frames.astype(float)
-    else:
-        rows = [_as_vector("frame", f) for f in frames]
-        if not rows:
-            return np.zeros((0, 0))
-        width = rows[0].shape[0]
-        for i, row in enumerate(rows):
-            if row.shape[0] != width:
-                raise ValueError(
-                    f"frame 0 has size {width} but frame {i} has size {row.shape[0]}"
-                )
-        stacked = np.vstack(rows)
-    total, width = stacked.shape
+    if not isinstance(frames, np.ndarray) or frames.ndim != 2:
+        raise ValueError(f"frames must be a (T, f) array, got {getattr(frames, 'shape', type(frames).__name__)}")
+    total, width = frames.shape
     groups = total // group_size
-    return stacked[: groups * group_size].reshape(groups, group_size * width)
+    return frames.astype(float)[: groups * group_size].reshape(groups, group_size * width)
 
 
 def ffn_apply(params: FfnParams, x) -> np.ndarray:
@@ -211,13 +196,21 @@ def gate_fuse(params: GateParams, e_hidden, e_emb) -> tuple[np.ndarray, np.ndarr
     return gate, gate * e_hidden + (1.0 - gate) * e_emb
 
 
-def embedding_lookup(table: np.ndarray, index: int) -> np.ndarray:
+def fuse(ffn: FfnParams, gate: GateParams, table, x, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project ``x`` through ``ffn``, look up ``table[..., ids, :]``, and
+    gate-fuse the two: ``(e_hidden, e_emb, fused)``.
+
+    ``ids`` is one id or one per row of ``x``; every id must be an integer
+    in ``[0, rows of table)``.
+    """
     table = np.asarray(table, dtype=float)
-    if table.ndim < 2:
-        raise ValueError(f"embedding table must be at least 2-D, got shape {table.shape}")
-    if not 0 <= index < table.shape[-2]:
-        raise ValueError(f"embedding index {index} out of range [0, {table.shape[-2]})")
-    return table[..., index, :].copy()
+    ids = np.asarray(ids)
+    rows = table.shape[-2] if table.ndim > 1 else 0
+    if ids.dtype.kind not in "iu" or ids.size and not (0 <= ids.min() and ids.max() < rows):
+        raise ValueError(f"embedding ids must be integers in [0, {rows}), got {ids}")
+    e_hidden = ffn_apply(ffn, x)
+    e_emb = table[..., ids, :]
+    return e_hidden, e_emb, gate_fuse(gate, e_hidden, e_emb)[1]
 
 
 def log_softmax(logits) -> np.ndarray:
@@ -279,6 +272,18 @@ def ffn_grads(params: FfnParams, x, d_out) -> tuple[FfnParams, np.ndarray]:
     return d_params, _affine(params.w1.T, d_pre)
 
 
+def fuse_grads(
+    ffn: FfnParams, gate: GateParams, x, ids, e_hidden, e_emb, d_fused, d_table: np.ndarray
+) -> tuple[FfnParams, GateParams]:
+    """Backprop ``d_fused`` through :func:`fuse`, given its ``e_hidden`` and
+    ``e_emb``.  Returns ``(d_ffn, d_gate)``; the embedding gradient is added
+    into ``d_table`` at ``ids``, which may repeat."""
+    d_weight, d_bias, d_e_hidden, d_e_emb = gate_fuse_grads(gate, e_hidden, e_emb, d_fused)
+    d_ffn, _ = ffn_grads(ffn, x, d_e_hidden)
+    np.add.at(d_table, ids, d_e_emb)
+    return d_ffn, GateParams(d_weight, d_bias)
+
+
 def cross_entropy_grads(logits, target) -> np.ndarray:
     """d loss / d logits, i.e. ``softmax(logits) - onehot(target)``."""
     probs = softmax(logits)
@@ -308,38 +313,26 @@ class FusionPipelineParams:
             raise ValueError("fusion pipeline dimensions do not chain")
 
 
-def _fusion_forward(params: FusionPipelineParams, hidden_state, token_id: int):
-    """Projection, embedding, fused vector and class logits."""
-    e_hidden = ffn_apply(params.ffn, hidden_state)
-    e_emb = embedding_lookup(params.embedding, token_id)
-    _, fused = gate_fuse(params.gate, e_hidden, e_emb)
-    return e_hidden, e_emb, fused, _affine(params.head, fused)
-
-
 def fusion_loss(params: FusionPipelineParams, hidden_state, token_id: int, target: int):
     """Project, embed, gate-fuse, score, and take cross-entropy against
     ``target``; stacked parameters give one loss per parameter set."""
-    return cross_entropy(_fusion_forward(params, hidden_state, token_id)[-1], target)
+    fused = fuse(params.ffn, params.gate, params.embedding, hidden_state, token_id)[-1]
+    return cross_entropy(_affine(params.head, fused), target)
 
 
 def fusion_loss_and_grads(
     params: FusionPipelineParams, hidden_state, token_id: int, target: int
 ) -> tuple[float, FusionPipelineParams]:
     """Loss plus analytic gradients for every parameter of the pipeline."""
-    e_hidden, e_emb, fused, logits = _fusion_forward(params, hidden_state, token_id)
+    e_hidden, e_emb, fused = fuse(params.ffn, params.gate, params.embedding, hidden_state, token_id)
+    logits = _affine(params.head, fused)
     d_logits = cross_entropy_grads(logits, target)
-    d_gate_w, d_gate_b, d_e_hidden, d_e_emb = gate_fuse_grads(
-        params.gate, e_hidden, e_emb, _affine(params.head.T, d_logits)
-    )
-    d_ffn, _ = ffn_grads(params.ffn, hidden_state, d_e_hidden)
     d_embedding = np.zeros_like(params.embedding)
-    d_embedding[token_id] = d_e_emb
-    grads = FusionPipelineParams(
-        ffn=d_ffn,
-        embedding=d_embedding,
-        gate=GateParams(d_gate_w, d_gate_b),
-        head=_outer_sum(d_logits, fused),
+    d_ffn, d_gate = fuse_grads(
+        params.ffn, params.gate, hidden_state, token_id, e_hidden, e_emb,
+        _affine(params.head.T, d_logits), d_embedding,
     )
+    grads = FusionPipelineParams(ffn=d_ffn, embedding=d_embedding, gate=d_gate, head=_outer_sum(d_logits, fused))
     return cross_entropy(logits, target), grads
 
 

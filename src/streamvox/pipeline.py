@@ -69,7 +69,10 @@ class StageTimingModel:
             raise ValueError("exactly one of lookup points or affine coefficients required")
         if is_lookup:
             # Count 0 is free by convention (see cost_ms), so a table never holds it.
-            for count, cost in self.points:
+            for point in self.points:
+                if not (isinstance(point, tuple) and len(point) == 2):
+                    raise ValueError(f"stage {self.stage!r} lookup point must be a [count, cost] pair, got {point!r}")
+                count, cost = point
                 if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                     raise ValueError(f"stage {self.stage!r} lookup count must be a positive integer, got {count!r}")
                 _check_cost(f"stage {self.stage!r} lookup cost at count {count}", cost)
@@ -117,12 +120,13 @@ class StageTimingModel:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "StageTimingModel":
+        if not isinstance(record, Mapping):
+            raise ValueError(f"timing record must be an object, got {record!r}")
         if record.get("form") == "lookup":
             points = record["points"]
-            counts = [c for c, _ in points]
-            if len(set(counts)) != len(counts):
-                raise ValueError(f"duplicate counts in timing record for stage {record.get('stage')!r}")
-            return cls.lookup(record["stage"], dict(points))
+            if not isinstance(points, list):
+                raise ValueError(f"lookup points must be a list, got {points!r}")
+            return cls(stage=record["stage"], points=tuple(tuple(p) if isinstance(p, list) else p for p in points))
         if record.get("form") == "affine":
             return cls.affine(record["stage"], record["intercept_ms"], record["per_token_ms"])
         raise ValueError(f"unknown timing form {record.get('form')!r}")
@@ -375,13 +379,19 @@ def calibrate_affine(
     """Ordinary least squares fit of ``intercept + per_token * count``.
 
     Returns the fitted model and the maximum absolute residual over the
-    samples.  Requires at least two samples with distinct counts.
+    samples.  Requires at least two samples with distinct counts; each
+    sample is a ``(count, cost)`` pair of an integer count and a finite real
+    cost, and a bool is neither.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least two samples to fit an affine model")
-    for i, (count, cost) in enumerate(samples):
-        if not (math.isfinite(count) and math.isfinite(cost)):
-            raise ValueError(f"sample {i} ({count!r}, {cost!r}) is not finite")
+    if not isinstance(samples, Sequence) or len(samples) < 2:
+        raise ValueError("need a list of at least two samples to fit an affine model")
+    for i, sample in enumerate(samples):
+        count, cost = sample if isinstance(sample, (tuple, list)) and len(sample) == 2 else (None, None)
+        if (
+            isinstance(count, bool) or not isinstance(count, numbers.Integral)
+            or isinstance(cost, bool) or not isinstance(cost, numbers.Real) or not math.isfinite(cost)
+        ):
+            raise ValueError(f"sample {i} ({sample!r}) is not an [integer count, finite cost] pair")
     counts = np.asarray([c for c, _ in samples], dtype=float)
     costs = np.asarray([m for _, m in samples], dtype=float)
     if np.unique(counts).size < 2:

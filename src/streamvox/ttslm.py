@@ -24,10 +24,8 @@ from .numerics import (
     GateParams,
     cross_entropy,
     cross_entropy_grads,
-    ffn_apply,
-    ffn_grads,
-    gate_fuse,
-    gate_fuse_grads,
+    fuse,
+    fuse_grads,
     load_tensors,
     log_softmax,
     save_tensors,
@@ -507,22 +505,11 @@ def copy_task_dataset(
 # gate-fused training (upstream fusion trainable, source hidden states frozen)
 
 
-def _fuse(ffn: FfnParams, gate: GateParams, token_emb: np.ndarray, hidden_states, text_ids):
-    """Checked inputs and every stage of the fusion forward pass."""
-    hidden_states = np.asarray(hidden_states, dtype=float)
-    if hidden_states.ndim != 2 or hidden_states.shape[0] != len(text_ids):
-        raise ValueError("hidden_states must be (n, d_in) aligned with text_ids")
-    text_ids = np.asarray(text_ids)
-    e_hidden, e_emb = ffn_apply(ffn, hidden_states), token_emb[text_ids]
-    _, fused = gate_fuse(gate, e_hidden, e_emb)
-    return hidden_states, text_ids, e_hidden, e_emb, fused
-
-
 def fused_representations(
     ffn: FfnParams, gate: GateParams, token_emb: np.ndarray, hidden_states, text_ids: Sequence[int]
 ) -> np.ndarray:
     """Project each source hidden state, embed its text token, and gate-fuse."""
-    return _fuse(ffn, gate, token_emb, hidden_states, text_ids)[-1]
+    return fuse(ffn, gate, token_emb, hidden_states, text_ids)[-1]
 
 
 def fused_loss_and_grads(
@@ -542,12 +529,10 @@ def fused_loss_and_grads(
     table accumulates gradient from both the fusion path and the
     previous-token path.
     """
-    hidden_states, text_ids, e_hidden, e_emb, C = _fuse(ffn, gate, params.token_emb, hidden_states, text_ids)
+    e_hidden, e_emb, C = fuse(ffn, gate, params.token_emb, hidden_states, text_ids)
     loss, grads, d_C = interleaved_loss_and_grads(C, Y, policy, params)
-    d_gate_w, d_gate_b, d_e_hidden, d_e_emb = gate_fuse_grads(gate, e_hidden, e_emb, d_C)
-    d_ffn, _ = ffn_grads(ffn, hidden_states, d_e_hidden)
-    np.add.at(grads["token_emb"], text_ids, d_e_emb)  # ids may repeat
-    return loss, d_ffn, GateParams(d_gate_w, d_gate_b), grads
+    d_ffn, d_gate = fuse_grads(ffn, gate, hidden_states, text_ids, e_hidden, e_emb, d_C, grads["token_emb"])
+    return loss, d_ffn, d_gate, grads
 
 
 def train_fused(

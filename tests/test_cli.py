@@ -78,6 +78,13 @@ def test_failed_timeline_writes_nothing(tmp_path, capsys) -> None:
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_rejects_non_object_timing_record(tmp_path, capsys) -> None:
+    path = tmp_path / "timing.json"
+    records.write_json(path, {"stages": [5]})
+    code, out, err = run(capsys, "simulate", "--timing", str(path), "--R", "3", "--W", "10")
+    assert (code, out, err) == (1, "", "error: timing record must be an object, got 5\n")
+
+
 def test_simulate_missing_timing_file(capsys) -> None:
     code, _, err = run(capsys, "simulate", "--timing", "nowhere.json", "--R", "3", "--W", "10")
     assert code == 3
@@ -129,6 +136,15 @@ def test_calibrate_degenerate_points_exit_one(tmp_path, capsys) -> None:
     code, _, err = run(capsys, "calibrate", "--points", str(path))
     assert code == 1
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("points", [[[2.7, 1.0], [True, 2.0], [4, 3.0]], [[1, 1.0], 5, [4, 3.0]]])
+def test_calibrate_malformed_points_exit_one(tmp_path, capsys, points) -> None:
+    path = tmp_path / "points.json"
+    records.write_json(path, points)
+    code, out, err = run(capsys, "calibrate", "--points", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sample ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +330,8 @@ def test_validate_config_flags_duplicate_stage_models() -> None:
         ([[True, 1.0]], "lookup count must be a positive integer, got True"),
         ([[3, True]], "lookup cost at count 3 must be finite and non-negative, got True"),
         ([[3, "231"]], "lookup cost at count 3 must be finite and non-negative, got '231'"),
+        ([[[3], 1.0]], "lookup count must be a positive integer, got [3]"),
+        ([[3]], "lookup point must be a [count, cost] pair, got (3,)"),
     ],
 )
 def test_validate_config_flags_bad_lookup_points(tmp_path, capsys, points, message) -> None:

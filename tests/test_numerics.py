@@ -17,10 +17,11 @@ from streamvox.numerics import (
     apply_adapter,
     cross_entropy,
     cross_entropy_grads,
-    embedding_lookup,
     ffn_apply,
     ffn_grads,
     finite_diff_check,
+    fuse,
+    fuse_grads,
     fusion_loss,
     fusion_loss_and_grads,
     gate_fuse,
@@ -64,11 +65,6 @@ def test_downsample_drops_trailing_remainder() -> None:
 def test_downsample_identity_at_group_one() -> None:
     frames = np.random.default_rng(0).standard_normal((7, 3))
     np.testing.assert_array_equal(adapter_downsample(frames, 1), frames)
-
-
-def test_downsample_rejects_ragged_frames() -> None:
-    with pytest.raises(ValueError, match="size"):
-        adapter_downsample([np.zeros(3), np.zeros(4)], 2)
 
 
 def test_apply_adapter_projects_each_group() -> None:
@@ -252,6 +248,8 @@ def test_kernels_on_stacked_rows_match_row_by_row(lead, d_in, hidden, d, classes
     logits = 30 * rng.standard_normal(lead + (classes,))
     target = rng.integers(classes, size=lead)
     d_out = rng.standard_normal(lead + (d,))
+    table = rng.standard_normal((2, d))  # two rows, so ids repeat
+    ids = rng.integers(2, size=lead)
 
     stacked_ffn = ffn_apply(ffn, x)
     stacked_gate = gate_fuse(gate, e_hidden, e_emb)
@@ -259,8 +257,13 @@ def test_kernels_on_stacked_rows_match_row_by_row(lead, d_in, hidden, d, classes
     stacked_ce_grads = cross_entropy_grads(logits, target)
     gate_grads = gate_fuse_grads(gate, e_hidden, e_emb, d_fused)
     d_ffn, d_x = ffn_grads(ffn, x, d_out)
+    stacked_fuse = fuse(ffn, gate, table, x, ids)
+    d_table = np.zeros_like(table)
+    fuse_ffn, fuse_gate = fuse_grads(ffn, gate, x, ids, *stacked_fuse[:2], d_fused, d_table)
     summed_gate = [np.zeros_like(gate.weight), np.zeros_like(gate.bias)]
     summed_ffn = [np.zeros_like(a) for a in (ffn.w1, ffn.b1, ffn.w2, ffn.b2)]
+    summed_fuse = [np.zeros_like(a) for a in (ffn.w1, ffn.b1, ffn.w2, ffn.b2, gate.weight, gate.bias)]
+    row_d_table = np.zeros_like(table)
     for i in np.ndindex(lead):
         assert np.array_equal(sigmoid(logits)[i], sigmoid(logits[i]))
         assert np.array_equal(stacked_ffn[i], ffn_apply(ffn, x[i]))
@@ -278,8 +281,19 @@ def test_kernels_on_stacked_rows_match_row_by_row(lead, d_in, hidden, d, classes
         assert np.array_equal(d_x[i], row_d_x)
         for total, part in zip(summed_ffn, (row_ffn.w1, row_ffn.b1, row_ffn.w2, row_ffn.b2)):
             total += part
-    for got, want in zip(gate_grads[:2] + (d_ffn.w1, d_ffn.b1, d_ffn.w2, d_ffn.b2), summed_gate + summed_ffn):
+        row_fuse = fuse(ffn, gate, table, x[i], ids[i])
+        for got, want in zip(stacked_fuse, row_fuse):
+            assert np.array_equal(got[i], want)
+        row_ffn, row_gate = fuse_grads(ffn, gate, x[i], ids[i], *row_fuse[:2], d_fused[i], row_d_table)
+        for total, part in zip(summed_fuse, (*vars(row_ffn).values(), *vars(row_gate).values())):
+            total += part
+    got_all = gate_grads[:2] + (d_ffn.w1, d_ffn.b1, d_ffn.w2, d_ffn.b2)
+    got_all += (*vars(fuse_ffn).values(), *vars(fuse_gate).values(), d_table)
+    for got, want in zip(got_all, summed_gate + summed_ffn + summed_fuse + [row_d_table]):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    d_e_emb = gate_fuse_grads(gate, *stacked_fuse[:2], d_fused)[3]
+    for r in range(len(table)):  # a table row sums the gradients of every lookup of it
+        np.testing.assert_allclose(d_table[r], d_e_emb[ids == r].sum(axis=0), rtol=1e-12, atol=1e-12)
 
 
 def test_stacked_parameters_give_one_loss_per_set() -> None:
@@ -466,11 +480,16 @@ def test_sgd_step_matches_elementwise_loop() -> None:
         np.testing.assert_allclose(updated[key].ravel(), expected, rtol=1e-15)
 
 
-def test_embedding_lookup_bounds() -> None:
+@pytest.mark.parametrize("ids", [[-1, 0], [True, False], [1.0, 2.0], [10, 0], 3])
+def test_fuse_rejects_bad_ids(ids) -> None:
+    rng = np.random.default_rng(5)
+    ffn = random_ffn(rng, 3, 4, 2)
+    gate = GateParams(rng.standard_normal((2, 4)), rng.standard_normal(2))
     table = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_array_equal(embedding_lookup(table, 2), [4.0, 5.0])
-    with pytest.raises(ValueError):
-        embedding_lookup(table, 3)
+    x = rng.standard_normal((2, 3))
+    np.testing.assert_array_equal(fuse(ffn, gate, table, x, [2, 0])[1], [[4.0, 5.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"embedding ids must be integers in \[0, 3\)"):
+        fuse(ffn, gate, table, x, ids)
 
 
 def test_tensor_file_round_trip(tmp_path) -> None:

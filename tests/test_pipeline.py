@@ -314,7 +314,11 @@ def test_calibrate_rejects_degenerate_samples() -> None:
         calibrate_affine([(3, 10.0), (3, 12.0)])
 
 
-@pytest.mark.parametrize("sample", [(2, float("nan")), (2, float("inf")), (float("nan"), 3.0)])
+@pytest.mark.parametrize(
+    "sample",
+    [(2, float("nan")), (2, float("inf")), (float("nan"), 3.0), (2.7, 1.0), (True, 2.0), (2, True),
+     (2, "1.0"), 5, (2,), (2, 1.0, 0.0)],
+)
 def test_calibrate_rejects_non_finite_samples(sample) -> None:
     with pytest.raises(ValueError, match=r"^sample 1 \("):
         calibrate_affine([(1, 1.0), sample, (4, 5.0)])
