@@ -45,8 +45,7 @@ def _load_timings(source: str) -> pipeline.StageTimings:
         return pipeline.timing_preset(source)
     except ValueError:
         pass
-    doc = records.read_json(source)
-    return pipeline.StageTimings.from_records(doc["stages"])
+    return pipeline.StageTimings.from_record(records.read_json(source))
 
 
 # ---------------------------------------------------------------------------
@@ -144,38 +143,29 @@ def _cmd_datagen(args) -> int:
 
 
 def validate_config(config: dict) -> list[str]:
-    """Pure validation of an engine config document; returns violations."""
+    """Pure validation of an engine config document; returns violations,
+    the first one of each section.  ``policy`` is required; ``timing`` and
+    ``seed`` are checked when present."""
     if not isinstance(config, dict):
         return ["config: expected a JSON object"]
+    sections = [("policy.", schedule.SchedulePolicy.from_record, config.get("policy"))]
+    if "timing" in config:
+        sections.append(("timing.", pipeline.StageTimings.from_record, config["timing"]))
+    if "seed" in config:
+        sections.append(("seed: ", _parse_seed, config["seed"]))
     violations: list[str] = []
-    policy = config.get("policy")
-    if not isinstance(policy, dict):
-        violations.append("policy: missing or not an object")
-    else:
+    for prefix, parse, value in sections:
         try:
-            schedule.SchedulePolicy(policy.get("read_block"), policy.get("write_block"))
+            parse(value)
         except ValueError as exc:
-            violations.append(f"policy.{exc}")
-    timing = config.get("timing")
-    if timing is not None:
-        stages = timing.get("stages") if isinstance(timing, dict) else None
-        if not isinstance(stages, list):
-            violations.append("timing.stages: missing or not a list")
-        else:
-            seen: set[str] = set()
-            for i, row in enumerate(stages):
-                try:
-                    model = pipeline.StageTimingModel.from_record(row)
-                except (ValueError, KeyError, TypeError) as exc:
-                    violations.append(f"timing.stages[{i}]: {exc}")
-                    continue
-                if model.stage in seen:
-                    violations.append(f"timing.stages[{i}]: duplicate stage {model.stage!r}")
-                seen.add(model.stage)
-    seed = config.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        violations.append(f"seed: must be an integer, got {seed!r}")
+            violations.append(f"{prefix}{exc}")
     return violations
+
+
+def _parse_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"must be an integer, got {seed!r}")
+    return seed
 
 
 def _cmd_validate_config(args) -> int:
@@ -201,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="write the result to this path instead of stdout")
 
     p = sub.add_parser("simulate", help="first-chunk latency breakdown and pipeline timeline")
-    p.add_argument("--timing", required=True, help="preset (table7b, ...) or timing-set JSON path")
+    p.add_argument("--timing", required=True, help="preset (table7b, ...) or path of a {\"stages\": [timing/v1 ...]} JSON document")
     p.add_argument("--R", type=int, required=True, help="fused representations per read block")
     p.add_argument("--W", type=int, required=True, help="speech tokens per write block")
     p.add_argument("--n-text", type=int, help="planned fused-representation count (default: R)")

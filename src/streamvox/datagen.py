@@ -162,12 +162,23 @@ class DialogueRecord:
         }
 
     @classmethod
-    def from_record(cls, record: dict) -> "DialogueRecord":
+    def from_record(cls, record: Mapping) -> "DialogueRecord":
+        """Parse one ``dialogue/v1`` row; errors name the field path."""
+        turns = record.get("turns")
+        if not isinstance(turns, list):
+            raise ValueError(f"turns must be a list, got {turns!r}")
+        for i, turn in enumerate(turns):
+            if not isinstance(turn, Mapping):
+                raise ValueError(f"turns[{i}] must be an object, got {turn!r}")
         return cls(
-            id=record["id"],
-            voice_prompt_id=record["voice_prompt_id"],
-            response_voice_id=record["response_voice_id"],
-            turns=tuple((t["instruction"], t["response"]) for t in record["turns"]),
+            id=records.string("id", record.get("id")),
+            voice_prompt_id=records.string("voice_prompt_id", record.get("voice_prompt_id")),
+            response_voice_id=records.string("response_voice_id", record.get("response_voice_id")),
+            turns=tuple(
+                (records.string(f"turns[{i}].instruction", t.get("instruction")),
+                 records.string(f"turns[{i}].response", t.get("response")))
+                for i, t in enumerate(turns)
+            ),
         )
 
 
@@ -213,6 +224,7 @@ def generate_corpus(
 ) -> list[DialogueRecord]:
     """Generate ``count`` dialogues; with no client supplied, each dialogue
     uses a stub generator seeded from the corpus seed."""
+    records.positive_int("count", count)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
@@ -233,4 +245,4 @@ def write_corpus(path, dialogues: Sequence[DialogueRecord]) -> None:
 
 
 def read_corpus(path) -> list[DialogueRecord]:
-    return [DialogueRecord.from_record(r) for r in records.read_jsonl(path, schema=CORPUS_SCHEMA)]
+    return records.read_jsonl(path, schema=CORPUS_SCHEMA, parse=DialogueRecord.from_record)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import records
 
@@ -175,30 +175,35 @@ def aggregate_report(
 # ---------------------------------------------------------------------------
 # record-file front ends
 
-# wer item:  {"schema": "wer-item/v1", "reference": ..., "hypothesis": ...}
-# qa item:   {"schema": "qa-item/v1", "response": ..., "answers": [...],
-#             optional "judge_score", "mos"}
+def wer_item(row: Mapping) -> tuple[str, str]:
+    """Parse one ``wer-item/v1`` row into ``(reference, hypothesis)``."""
+    return records.string("reference", row.get("reference")), records.string("hypothesis", row.get("hypothesis"))
 
 
-def load_wer_items(path) -> list[tuple[str, str]]:
-    rows = records.read_jsonl(path, schema="wer-item/v1")
-    return [(r["reference"], r["hypothesis"]) for r in rows]
-
-
-def load_qa_items(path) -> list[dict]:
-    return records.read_jsonl(path, schema="qa-item/v1")
+def qa_item(row: Mapping) -> tuple[str, list[str], float | None, float | None]:
+    """Parse one ``qa-item/v1`` row into ``(response, answers, judge_score,
+    mos)``; an absent score is None.  An answer that normalizes to nothing
+    is rejected, since every response would contain it."""
+    answers = row.get("answers")
+    if not isinstance(answers, list):
+        raise ValueError(f"answers must be a list of strings, got {answers!r}")
+    for i, answer in enumerate(answers):
+        if not normalize(records.string(f"answers[{i}]", answer)):
+            raise ValueError(f"answers[{i}] normalizes to zero tokens, got {answer!r}")
+    scores = [records.finite_nonneg(key, row[key]) if key in row else None for key in ("judge_score", "mos")]
+    return (records.string("response", row.get("response")), answers, *scores)
 
 
 def report_from_files(
     wer_path=None, qa_path=None, latency_path=None
 ) -> MetricReport:
-    wer_items = load_wer_items(wer_path) if wer_path else []
-    qa_rows = load_qa_items(qa_path) if qa_path else []
+    wer_items = records.read_jsonl(wer_path, schema="wer-item/v1", parse=wer_item) if wer_path else []
+    qa = records.read_jsonl(qa_path, schema="qa-item/v1", parse=qa_item) if qa_path else []
     latency = records.read_jsonl(latency_path, schema="latency-breakdown/v1") if latency_path else []
     return aggregate_report(
         wer_items=wer_items,
-        qa_items=[(r["response"], r["answers"]) for r in qa_rows],
+        qa_items=[(response, answers) for response, answers, _, _ in qa],
         latency_breakdowns=latency,
-        judge_scores=[r["judge_score"] for r in qa_rows if "judge_score" in r],
-        mos_scores=[r["mos"] for r in qa_rows if "mos" in r],
+        judge_scores=[judge for _, _, judge, _ in qa if judge is not None],
+        mos_scores=[mos for _, _, _, mos in qa if mos is not None],
     )

@@ -30,14 +30,13 @@ demos and the regression tests.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fsq import SPEECH_TOKENS_PER_SECOND
+from .records import finite_nonneg, positive_int, prefixed
 from .schedule import SchedulePolicy
 
 STAGE_LLM = "llm"
@@ -69,22 +68,16 @@ class StageTimingModel:
             raise ValueError("exactly one of lookup points or affine coefficients required")
         if is_lookup:
             # Count 0 is free by convention (see cost_ms), so a table never holds it.
-            for point in self.points:
-                if not (isinstance(point, tuple) and len(point) == 2):
-                    raise ValueError(f"stage {self.stage!r} lookup point must be a [count, cost] pair, got {point!r}")
-                count, cost = point
-                if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                    raise ValueError(f"stage {self.stage!r} lookup count must be a positive integer, got {count!r}")
-                _check_cost(f"stage {self.stage!r} lookup cost at count {count}", cost)
-            counts = [c for c, _ in self.points]
+            points = [parse_point(f"stage {self.stage!r} lookup", p) for p in self.points]
+            counts = [c for c, _ in points]
             if len(set(counts)) != len(counts):
                 raise ValueError(f"duplicate counts in lookup table for stage {self.stage!r}")
-            object.__setattr__(self, "points", tuple(sorted(self.points)))
+            object.__setattr__(self, "points", tuple(sorted(points)))
         else:
             if self.intercept_ms is None or self.per_token_ms is None:
                 raise ValueError("affine form needs both intercept_ms and per_token_ms")
-            _check_cost(f"stage {self.stage!r} intercept_ms", self.intercept_ms)
-            _check_cost(f"stage {self.stage!r} per_token_ms", self.per_token_ms)
+            finite_nonneg(f"stage {self.stage!r} intercept_ms", self.intercept_ms)
+            finite_nonneg(f"stage {self.stage!r} per_token_ms", self.per_token_ms)
 
     @classmethod
     def lookup(cls, stage: str, table: Mapping[int, float]) -> "StageTimingModel":
@@ -120,21 +113,30 @@ class StageTimingModel:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "StageTimingModel":
+        """Parse one ``timing/v1`` record; a missing field reads as None, a
+        missing ``schema`` as ``timing/v1``."""
         if not isinstance(record, Mapping):
             raise ValueError(f"timing record must be an object, got {record!r}")
+        if record.get("schema", "timing/v1") != "timing/v1":
+            raise ValueError(f"schema {record['schema']!r}, expected 'timing/v1'")
         if record.get("form") == "lookup":
-            points = record["points"]
+            points = record.get("points")
             if not isinstance(points, list):
                 raise ValueError(f"lookup points must be a list, got {points!r}")
-            return cls(stage=record["stage"], points=tuple(tuple(p) if isinstance(p, list) else p for p in points))
+            return cls(stage=record.get("stage"), points=tuple(tuple(p) if isinstance(p, list) else p for p in points))
         if record.get("form") == "affine":
-            return cls.affine(record["stage"], record["intercept_ms"], record["per_token_ms"])
+            return cls.affine(record.get("stage"), record.get("intercept_ms"), record.get("per_token_ms"))
         raise ValueError(f"unknown timing form {record.get('form')!r}")
 
 
-def _check_cost(name: str, value: float) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+def parse_point(name: str, point) -> tuple[int, float]:
+    """One ``[count, cost]`` point of a lookup table or a calibration set:
+    count an int >= 1, cost finite and >= 0, neither a bool.  Errors start
+    with ``name``."""
+    if not (isinstance(point, (tuple, list)) and len(point) == 2):
+        raise ValueError(f"{name} point must be a [count, cost] pair, got {point!r}")
+    count = positive_int(f"{name} count", point[0])
+    return count, finite_nonneg(f"{name} cost at count {count}", point[1])
 
 
 @dataclass(frozen=True)
@@ -174,20 +176,24 @@ class StageTimings:
         return [m.to_record() for m in models]
 
     @classmethod
-    def from_records(cls, rows: Sequence[Mapping]) -> "StageTimings":
+    def from_record(cls, doc: Mapping) -> "StageTimings":
+        """Parse a ``{"stages": [timing/v1, ...]}`` document: one model per
+        stage, ``llm`` and ``tts`` required.  Errors name the field path."""
+        stages = doc.get("stages") if isinstance(doc, Mapping) else None
+        if not isinstance(stages, list):
+            raise ValueError(f"stages must be a list in a timing object, got {doc!r}")
         by_stage: dict[str, StageTimingModel] = {}
-        for row in rows:
-            model = StageTimingModel.from_record(row)
-            if model.stage in by_stage:
-                raise ValueError(f"duplicate timing model for stage {model.stage!r}")
+        for i, row in enumerate(stages):
+            with prefixed(f"stages[{i}]: "):
+                model = StageTimingModel.from_record(row)
+                if model.stage in by_stage:
+                    raise ValueError(f"duplicate stage {model.stage!r}")
             by_stage[model.stage] = model
-        return cls(
-            llm=by_stage[STAGE_LLM],
-            tts=by_stage[STAGE_TTS],
-            fm=by_stage.get(STAGE_FM),
-            voc=by_stage.get(STAGE_VOC),
-            fm_voc=by_stage.get(STAGE_FM_VOC),
-        )
+        with prefixed("stages: "):
+            for stage in (STAGE_LLM, STAGE_TTS):
+                if stage not in by_stage:
+                    raise ValueError(f"no {stage!r} model")
+            return cls(**by_stage)
 
 
 @dataclass(frozen=True)
@@ -197,8 +203,8 @@ class ScenarioConfig:
     m_speech: int
 
     def __post_init__(self) -> None:
-        if self.n_text < 1 or self.m_speech < 1:
-            raise ValueError("scenario token counts must be >= 1")
+        positive_int("n_text", self.n_text)
+        positive_int("m_speech", self.m_speech)
 
     def to_record(self) -> dict:
         return {
@@ -380,20 +386,13 @@ def calibrate_affine(
 
     Returns the fitted model and the maximum absolute residual over the
     samples.  Requires at least two samples with distinct counts; each
-    sample is a ``(count, cost)`` pair of an integer count and a finite real
-    cost, and a bool is neither.
+    sample is a point that :func:`parse_point` accepts, as in a lookup table.
     """
     if not isinstance(samples, Sequence) or len(samples) < 2:
         raise ValueError("need a list of at least two samples to fit an affine model")
-    for i, sample in enumerate(samples):
-        count, cost = sample if isinstance(sample, (tuple, list)) and len(sample) == 2 else (None, None)
-        if (
-            isinstance(count, bool) or not isinstance(count, numbers.Integral)
-            or isinstance(cost, bool) or not isinstance(cost, numbers.Real) or not math.isfinite(cost)
-        ):
-            raise ValueError(f"sample {i} ({sample!r}) is not an [integer count, finite cost] pair")
-    counts = np.asarray([c for c, _ in samples], dtype=float)
-    costs = np.asarray([m for _, m in samples], dtype=float)
+    points = [parse_point(f"sample {i} ({sample!r})", sample) for i, sample in enumerate(samples)]
+    counts = np.asarray([c for c, _ in points], dtype=float)
+    costs = np.asarray([m for _, m in points], dtype=float)
     if np.unique(counts).size < 2:
         raise ValueError("samples are degenerate: all token counts are equal")
     design = np.vstack([np.ones_like(counts), counts]).T

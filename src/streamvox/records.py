@@ -9,14 +9,48 @@ by an atomic rename, so failed runs never leave truncated outputs.
 from __future__ import annotations
 
 import json
+import numbers
 import os
+import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class RecordFormatError(ValueError):
     """A record file does not parse or does not match its declared schema."""
+
+
+def positive_int(name: str, value) -> int:
+    """``value`` if it is an int >= 1 and not a bool; else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def finite_nonneg(name: str, value):
+    """``value`` if it is a real in [0, float max] (so neither inf nor an int
+    too large for a float) and not a bool; else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
+def string(name: str, value) -> str:
+    """``value`` if it is a str; else a ValueError naming ``name``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Re-raise a ValueError from the block as a RecordFormatError led by ``prefix``, a field path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise RecordFormatError(f"{prefix}{exc}") from exc
 
 
 def dumps_canonical(obj) -> str:
@@ -40,12 +74,14 @@ def write_jsonl(path, rows: Iterable[dict]) -> None:
     _atomic_write(path, text)
 
 
-def read_jsonl(path, schema: str | None = None) -> list[dict]:
+def read_jsonl(path, schema: str | None = None, parse: Callable | None = None) -> list:
     """Read a JSONL file; errors name the offending line number.
 
-    If ``schema`` is given, every record's ``schema`` field must match.
+    If ``schema`` is given, every record's ``schema`` field must match.  If
+    ``parse`` is given, each record is replaced by ``parse(record)``, the
+    schema's row parser, whose ValueError is prefixed with the line.
     """
-    rows: list[dict] = []
+    rows: list = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -60,6 +96,9 @@ def read_jsonl(path, schema: str | None = None) -> list[dict]:
                 raise RecordFormatError(
                     f"{path}: line {lineno}: schema {row.get('schema')!r}, expected {schema!r}"
                 )
+            if parse is not None:
+                with prefixed(f"{path}: line {lineno}: "):
+                    row = parse(row)
             rows.append(row)
     return rows
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+from .records import positive_int
 
 READ = "read"
 WRITE = "write"
@@ -32,10 +34,14 @@ class SchedulePolicy:
     write_block: int
 
     def __post_init__(self) -> None:
-        for name in ("read_block", "write_block"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        positive_int("read_block", self.read_block)
+        positive_int("write_block", self.write_block)
+
+    @classmethod
+    def from_record(cls, record) -> "SchedulePolicy":
+        """Parse ``{"read_block": R, "write_block": W}``; a missing field reads as None."""
+        fields = record if isinstance(record, Mapping) else {}
+        return cls(fields.get("read_block"), fields.get("write_block"))
 
 
 @dataclass(frozen=True)
@@ -48,8 +54,7 @@ class Action:
     def __post_init__(self) -> None:
         if self.kind not in (READ, WRITE):
             raise ValueError(f"action kind must be {READ!r} or {WRITE!r}, got {self.kind!r}")
-        if self.count < 1:
-            raise ValueError(f"action count must be >= 1, got {self.count}")
+        positive_int("action count", self.count)
 
 
 def visible_prefix(position: int, total_reps: int, policy: SchedulePolicy) -> int:

@@ -13,8 +13,9 @@ taken through one batched forward pass over all positions of a sample.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -446,6 +447,8 @@ def train_toy(
 def _descend(arrays: dict, loss_and_grads, dataset: Sequence, epochs: int, lr: float):
     """Full-batch gradient descent on a dict of arrays, given one sample's
     ``(loss, grads)`` from ``loss_and_grads(arrays, sample)``."""
+    records.positive_int("epochs", epochs)
+    records.finite_nonneg("lr", lr)
     curve: list[float] = []
     for epoch in range(epochs):
         batch = {k: np.zeros_like(v) for k, v in arrays.items()}
@@ -594,6 +597,21 @@ def save_pairs(path, pairs: Sequence[tuple]) -> None:
     records.write_jsonl(path, rows)
 
 
+def pair_from_record(row: Mapping) -> tuple[np.ndarray, list[int]]:
+    """Parse one ``fused-pairs/v1`` row: ``fused`` a non-empty list of
+    equal-length, non-empty rows of finite numbers, ``tokens`` a list of
+    integer ids (their range depends on the vocabulary, checked in training)."""
+    fused, tokens = row.get("fused"), row.get("tokens")
+    if not (
+        isinstance(fused, list) and fused
+        and all(isinstance(r, list) and r and len(r) == len(fused[0]) for r in fused)
+        and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for r in fused for x in r)
+    ):
+        raise ValueError("fused must be a non-empty list of equal-length rows of finite numbers")
+    if not (isinstance(tokens, list) and all(type(t) is int for t in tokens)):
+        raise ValueError("tokens must be a list of integer ids")
+    return np.asarray(fused, dtype=float), tokens
+
+
 def load_pairs(path) -> list[tuple[np.ndarray, list[int]]]:
-    rows = records.read_jsonl(path, schema="fused-pairs/v1")
-    return [(np.asarray(r["fused"], dtype=float), list(r["tokens"])) for r in rows]
+    return records.read_jsonl(path, schema="fused-pairs/v1", parse=pair_from_record)

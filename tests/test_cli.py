@@ -82,7 +82,81 @@ def test_simulate_rejects_non_object_timing_record(tmp_path, capsys) -> None:
     path = tmp_path / "timing.json"
     records.write_json(path, {"stages": [5]})
     code, out, err = run(capsys, "simulate", "--timing", str(path), "--R", "3", "--W", "10")
-    assert (code, out, err) == (1, "", "error: timing record must be an object, got 5\n")
+    assert (code, out, err) == (1, "", "error: stages[0]: timing record must be an object, got 5\n")
+
+
+def _qa(**fields) -> list[dict]:
+    return [{"schema": "qa-item/v1", "response": "hello", "answers": ["hello"], **fields}]
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        ({"stages": 5}, ["simulate", "--timing", "IN", "--R", "3", "--W", "10"]),
+        ([1], ["simulate", "--timing", "IN", "--R", "3", "--W", "10"]),
+        ([{"schema": "wer-item/v1", "reference": 5, "hypothesis": "a"}], ["eval", "--wer", "IN"]),
+        (_qa(answers=[1]), ["eval", "--qa", "IN"]),
+        (_qa(answers="no way"), ["eval", "--qa", "IN"]),
+        (_qa(answers=["?"]), ["eval", "--qa", "IN"]),
+        (_qa(judge_score="a"), ["eval", "--qa", "IN"]),
+        (_qa(mos=True), ["eval", "--qa", "IN"]),
+        ([{"schema": "fused-pairs/v1", "fused": [[1.0]], "tokens": "ab"}], ["train-toy", "--dataset", "IN"]),
+        ([{"schema": "fused-pairs/v1", "fused": [[1.0]], "tokens": [0.5]}], ["train-toy", "--dataset", "IN"]),
+        ([{"schema": "fused-pairs/v1", "fused": [1.0], "tokens": [0]}], ["train-toy", "--dataset", "IN"]),
+        (None, ["train-toy", "--epochs", "0"]),
+        (None, ["train-toy", "--epochs", "-1"]),
+        (None, ["datagen", "--count", "-3", "--out", "corpus.jsonl"]),
+    ],
+)
+def test_bad_input_exits_one_with_one_line(tmp_path, capsys, monkeypatch, content, argv) -> None:
+    monkeypatch.chdir(tmp_path)
+    rows = isinstance(content, list) and isinstance(content[0], dict)
+    if rows:
+        records.write_jsonl("IN", content)
+    elif content is not None:
+        records.write_json("IN", content)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: IN: line 1: " if rows else "error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["IN"] if content is not None else [])
+
+
+def _timing_doc(*stages: str) -> dict:
+    counts = {"llm": 3, "tts": 10, "fm": 10, "voc": 20, "fm_voc": 10}
+    return {"stages": [
+        {"schema": "timing/v1", "stage": s, "form": "lookup", "points": [[counts[s], 1.5]]} for s in stages
+    ]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _timing_doc("llm", "tts", "fm_voc"),
+        _timing_doc("llm", "tts", "fm", "voc"),
+        _timing_doc("llm", "fm_voc"),
+        _timing_doc("tts", "fm_voc"),
+        _timing_doc("llm", "tts", "fm"),
+        _timing_doc("llm", "tts"),
+        _timing_doc("llm", "tts", "fm", "voc", "fm_voc"),
+        _timing_doc("llm", "tts", "fm_voc", "llm"),
+        {"stages": []},
+        {"stages": 5},
+        {"stages": [5]},
+        {"stages": [{"stage": "llm", "form": "affine", "intercept_ms": 1.0}]},
+        [1],
+        None,
+    ],
+)
+def test_validate_config_and_simulate_agree_on_timing(tmp_path, capsys, doc) -> None:
+    # Lookups cover R=3, W=10, so a valid document simulates without a missing count.
+    config = good_config()
+    config["timing"] = doc
+    flagged = any(v.startswith("timing.") for v in validate_config(config))
+    path = tmp_path / "timing.json"
+    records.write_json(path, doc)
+    code, _, _ = run(capsys, "simulate", "--timing", str(path), "--R", "3", "--W", "10")
+    assert code in (0, 1)
+    assert flagged == (code == 1)
 
 
 def test_simulate_missing_timing_file(capsys) -> None:
@@ -312,6 +386,11 @@ def test_validate_config_flags_duplicate_lookup_counts(tmp_path, capsys) -> None
     code, out, _ = run(capsys, "validate-config", str(path))
     assert code == 1
     assert any("duplicate" in v for v in json.loads(out)["violations"])
+
+
+@pytest.mark.parametrize("seed, violations", [(True, ["seed: must be an integer, got True"]), (7, [])])
+def test_validate_config_checks_seed(seed, violations) -> None:
+    assert validate_config({**good_config(), "seed": seed}) == violations
 
 
 def test_validate_config_flags_duplicate_stage_models() -> None:

@@ -130,10 +130,10 @@ def test_stage_bundle_requires_exactly_one_synthesis_form() -> None:
 
 def test_timing_records_round_trip() -> None:
     timings = scale_timings("7b")
-    rebuilt = StageTimings.from_records(timings.to_records())
+    rebuilt = StageTimings.from_record({"stages": timings.to_records()})
     assert rebuilt == timings
     affine = affine_timings(1.0, 2.0, 3.0, 4.0, intercepts=(5.0, 6.0, 7.0, 8.0))
-    assert StageTimings.from_records(affine.to_records()) == affine
+    assert StageTimings.from_record({"stages": affine.to_records()}) == affine
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,207 @@
+"""One parser per record schema: round trips, and mutations that each parser
+must reject with a ValueError naming the field path."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamvox import records
+from streamvox.datagen import DialogueRecord
+from streamvox.evalkit import normalize, qa_item, wer_item
+from streamvox.pipeline import STAGES, StageTimingModel, StageTimings, parse_point
+from streamvox.schedule import SchedulePolicy
+from streamvox.ttslm import pair_from_record
+
+COSTS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False) | st.integers(0, 10**6)
+COUNTS = st.integers(1, 10**6)
+TEXT = st.text(max_size=12)
+WORDY = TEXT.filter(lambda s: bool(normalize(s)))
+
+
+def json_trip(record):
+    """The record as a reader sees it: canonical JSON text, parsed back."""
+    return json.loads(records.dumps_canonical(record))
+
+
+def timing_models(stage=st.sampled_from(STAGES)):
+    lookup = st.builds(StageTimingModel.lookup, stage, st.dictionaries(COUNTS, COSTS, min_size=1, max_size=5))
+    return lookup | st.builds(StageTimingModel.affine, stage, COSTS, COSTS)
+
+
+@st.composite
+def stage_timings(draw):
+    models = {s: draw(timing_models(st.just(s))) for s in ("llm", "tts")}
+    synthesis = ("fm_voc",) if draw(st.booleans()) else ("fm", "voc")
+    models.update({s: draw(timing_models(st.just(s))) for s in synthesis})
+    return StageTimings(**models)
+
+
+dialogues = st.builds(
+    DialogueRecord,
+    id=TEXT,
+    voice_prompt_id=TEXT,
+    response_voice_id=TEXT,
+    turns=st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=timing_models())
+def test_timing_model_round_trip(model) -> None:
+    assert StageTimingModel.from_record(json_trip(model.to_record())) == model
+
+
+@settings(max_examples=40, deadline=None)
+@given(timings=stage_timings())
+def test_timing_document_round_trip(timings) -> None:
+    assert StageTimings.from_record(json_trip({"stages": timings.to_records()})) == timings
+
+
+@given(point=st.tuples(COUNTS, COSTS))
+def test_point_round_trip(point) -> None:
+    assert parse_point("p", json_trip(list(point))) == point
+
+
+@given(read_block=COUNTS, write_block=COUNTS)
+def test_policy_round_trip(read_block, write_block) -> None:
+    policy = SchedulePolicy(read_block, write_block)
+    assert SchedulePolicy.from_record({"read_block": read_block, "write_block": write_block}) == policy
+
+
+@given(reference=TEXT, hypothesis=TEXT)
+def test_wer_item_round_trip(reference, hypothesis) -> None:
+    row = {"schema": "wer-item/v1", "reference": reference, "hypothesis": hypothesis}
+    assert wer_item(json_trip(row)) == (reference, hypothesis)
+
+
+@given(response=TEXT, answers=st.lists(WORDY, max_size=3), judge=st.none() | COSTS, mos=st.none() | COSTS)
+def test_qa_item_round_trip(response, answers, judge, mos) -> None:
+    row = {"schema": "qa-item/v1", "response": response, "answers": answers}
+    row.update({k: v for k, v in (("judge_score", judge), ("mos", mos)) if v is not None})
+    assert qa_item(json_trip(row)) == (response, answers, judge, mos)
+
+
+@given(
+    fused=st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d), min_size=1, max_size=4)),
+    tokens=st.lists(st.integers(0, 10**4), max_size=6),
+)
+def test_fused_pair_round_trip(fused, tokens) -> None:
+    C, Y = pair_from_record(json_trip({"schema": "fused-pairs/v1", "fused": fused, "tokens": tokens}))
+    np.testing.assert_array_equal(C, np.asarray(fused, dtype=float))
+    assert Y == tokens
+
+
+@settings(max_examples=40)
+@given(dialogue=dialogues)
+def test_dialogue_round_trip(dialogue) -> None:
+    assert DialogueRecord.from_record(json_trip(dialogue.to_record())) == dialogue
+
+
+# ---------------------------------------------------------------------------
+# mutations: one field replaced by a wrong type, NaN, inf or a bool
+
+
+def _lookup():
+    return {"schema": "timing/v1", "stage": "llm", "form": "lookup", "points": [[3, 231.16]]}
+
+
+def _affine():
+    return {"schema": "timing/v1", "stage": "tts", "form": "affine", "intercept_ms": 1.0, "per_token_ms": 2.0}
+
+
+def _doc():
+    stages = [_lookup(), _affine(), {**_affine(), "stage": "fm_voc"}]
+    return {"stages": stages}
+
+
+PARSERS = {
+    "timing/v1 lookup": (StageTimingModel.from_record, _lookup),
+    "timing/v1 affine": (StageTimingModel.from_record, _affine),
+    "timing document": (StageTimings.from_record, _doc),
+    "point": (lambda p: parse_point("sample 0", p), lambda: [3, 1.5]),
+    "policy": (SchedulePolicy.from_record, lambda: {"read_block": 3, "write_block": 10}),
+    "wer-item/v1": (wer_item, lambda: {"schema": "wer-item/v1", "reference": "a b", "hypothesis": "a"}),
+    "qa-item/v1": (qa_item, lambda: {
+        "schema": "qa-item/v1", "response": "paris", "answers": ["Paris"], "judge_score": 4.5, "mos": 4.0,
+    }),
+    "fused-pairs/v1": (pair_from_record, lambda: {
+        "schema": "fused-pairs/v1", "fused": [[0.5, -1.0], [2.0, 0.0]], "tokens": [3, 1],
+    }),
+    "dialogue/v1": (DialogueRecord.from_record, lambda: DialogueRecord(
+        "dlg-0", "prompt-voice-0", "response-voice-0", (("hi", "hello"), ("more?", "yes"))
+    ).to_record()),
+}
+
+# (parser, path into the valid record, what the message must name).  The
+# ``schema`` field of a JSONL row is checked by the file reader (below).
+MUTATIONS = [
+    ("timing/v1 lookup", ("schema",), "schema"),
+    ("timing/v1 lookup", ("stage",), "stage"),
+    ("timing/v1 lookup", ("form",), "form"),
+    ("timing/v1 lookup", ("points",), "points"),
+    ("timing/v1 lookup", ("points", 0), "lookup point"),
+    ("timing/v1 lookup", ("points", 0, 0), "lookup count"),
+    ("timing/v1 lookup", ("points", 0, 1), "lookup cost"),
+    ("timing/v1 affine", ("intercept_ms",), "intercept_ms"),
+    ("timing/v1 affine", ("per_token_ms",), "per_token_ms"),
+    ("timing document", ("stages",), "stages"),
+    ("timing document", ("stages", 1), "stages[1]: "),
+    ("timing document", ("stages", 1, "per_token_ms"), "stages[1]: stage 'tts' per_token_ms"),
+    ("point", (0,), "sample 0 count"),
+    ("point", (1,), "sample 0 cost"),
+    ("policy", ("read_block",), "read_block"),
+    ("policy", ("write_block",), "write_block"),
+    ("wer-item/v1", ("reference",), "reference"),
+    ("wer-item/v1", ("hypothesis",), "hypothesis"),
+    ("qa-item/v1", ("response",), "response"),
+    ("qa-item/v1", ("answers",), "answers"),
+    ("qa-item/v1", ("answers", 0), "answers[0]"),
+    ("qa-item/v1", ("judge_score",), "judge_score"),
+    ("qa-item/v1", ("mos",), "mos"),
+    ("fused-pairs/v1", ("fused",), "fused"),
+    ("fused-pairs/v1", ("fused", 1), "fused"),
+    ("fused-pairs/v1", ("fused", 1, 0), "fused"),
+    ("fused-pairs/v1", ("tokens",), "tokens"),
+    ("fused-pairs/v1", ("tokens", 0), "tokens"),
+    ("dialogue/v1", ("id",), "id"),
+    ("dialogue/v1", ("voice_prompt_id",), "voice_prompt_id"),
+    ("dialogue/v1", ("response_voice_id",), "response_voice_id"),
+    ("dialogue/v1", ("turns",), "turns"),
+    ("dialogue/v1", ("turns", 1), "turns[1]"),
+    ("dialogue/v1", ("turns", 1, "response"), "turns[1].response"),
+]
+
+
+BAD = pytest.mark.parametrize("bad", [{}, math.nan, math.inf, True], ids=["object", "nan", "inf", "bool"])
+
+
+@BAD
+@pytest.mark.parametrize("schema, path, named", MUTATIONS)
+def test_mutated_field_is_rejected_by_name(schema, path, named, bad) -> None:
+    parse, valid = PARSERS[schema]
+    parse(valid())
+    record = valid()
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValueError) as info:
+        parse(record)
+    assert named in str(info.value)
+
+
+@BAD
+@pytest.mark.parametrize("schema", ["wer-item/v1", "qa-item/v1", "fused-pairs/v1", "dialogue/v1"])
+def test_mutated_row_schema_is_rejected_by_the_reader(schema, bad, tmp_path) -> None:
+    parse, valid = PARSERS[schema]
+    path = tmp_path / "rows.jsonl"
+    records.write_jsonl(path, [valid(), {**valid(), "schema": bad}])
+    with pytest.raises(records.RecordFormatError, match=r"line 2: schema .*, expected"):
+        records.read_jsonl(path, schema=schema, parse=parse)
