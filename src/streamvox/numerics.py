@@ -1,5 +1,6 @@
 """Dense numeric kernel: adapter downsampling, projection FFN, gate fusion,
-cross-entropy, SGD, and a finite-difference gradient checker.
+cross-entropy (loss terms and logit gradients from one log-softmax), SGD,
+and a finite-difference gradient checker.
 
 All math is double precision.  Leading axes are batch axes and a 1-D input
 is the one-row case: forward kernels give each row the bits it would get
@@ -238,6 +239,16 @@ def cross_entropy(logits, target):
     return -log_probs.reshape(-1)[_target_index(target, log_probs.shape)]
 
 
+def cross_entropy_and_grads(logits, target) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cross_entropy` and its gradient ``softmax(logits) -
+    onehot(target)``, bit for bit, from one ``log_softmax``."""
+    log_probs = log_softmax(logits)
+    index = _target_index(target, log_probs.shape)
+    d_logits = np.exp(log_probs)
+    d_logits.reshape(-1)[index] -= 1.0
+    return -log_probs.reshape(-1)[index], d_logits
+
+
 # ---------------------------------------------------------------------------
 # closed-form gradients
 
@@ -284,13 +295,6 @@ def fuse_grads(
     return d_ffn, GateParams(d_weight, d_bias)
 
 
-def cross_entropy_grads(logits, target) -> np.ndarray:
-    """d loss / d logits, i.e. ``softmax(logits) - onehot(target)``."""
-    probs = softmax(logits)
-    probs.reshape(-1)[_target_index(target, probs.shape)] -= 1.0
-    return probs
-
-
 # ---------------------------------------------------------------------------
 # fused projection pipeline (hidden state + token embedding -> class loss)
 
@@ -325,15 +329,14 @@ def fusion_loss_and_grads(
 ) -> tuple[float, FusionPipelineParams]:
     """Loss plus analytic gradients for every parameter of the pipeline."""
     e_hidden, e_emb, fused = fuse(params.ffn, params.gate, params.embedding, hidden_state, token_id)
-    logits = _affine(params.head, fused)
-    d_logits = cross_entropy_grads(logits, target)
+    loss, d_logits = cross_entropy_and_grads(_affine(params.head, fused), target)
     d_embedding = np.zeros_like(params.embedding)
     d_ffn, d_gate = fuse_grads(
         params.ffn, params.gate, hidden_state, token_id, e_hidden, e_emb,
         _affine(params.head.T, d_logits), d_embedding,
     )
     grads = FusionPipelineParams(ffn=d_ffn, embedding=d_embedding, gate=d_gate, head=_outer_sum(d_logits, fused))
-    return cross_entropy(logits, target), grads
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ class RecordFormatError(ValueError):
 
 
 def positive_int(name: str, value) -> int:
-    """``value`` if it is an int >= 1 and not a bool; else a ValueError naming ``name``."""
+    """``value`` if it is an int in [1, sys.maxsize] and not a bool; else a ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize}, got {value!r}")
     return value
 
 

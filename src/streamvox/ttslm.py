@@ -7,8 +7,9 @@ bundled reference implementation is a small linear model over the feature
 ``[mean of visible fused representations ; embedding of previous token]``.
 What the module actually proves is schedule semantics: the masked
 interleaved loss conditions each speech token on exactly its visible prefix,
-decoding follows the read/write cadence, and all gradients are closed form,
-taken through one batched forward pass over all positions of a sample.
+decoding follows the read/write cadence, and all gradients are closed form.
+Training takes them in one pass per epoch over all samples' concatenated
+rows: one forward, one cross-entropy and one backward, with no padding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .numerics import (
     FfnParams,
     GateParams,
     cross_entropy,
-    cross_entropy_grads,
+    cross_entropy_and_grads,
     fuse,
     fuse_grads,
     load_tensors,
@@ -216,8 +217,11 @@ def _masked_logits(C, Y: Sequence[int], policy: SchedulePolicy, model: Predictor
     the ``training_mask`` prefix of ``C``, never a row past it."""
     C = _check_inputs(C, Y, model.vocab)
     logits = np.empty((len(Y), model.vocab.total_size))
-    for i, v in enumerate(training_mask(C.shape[0], len(Y), policy)):
-        logits[i] = model.logits(C[:v], Y[:i])
+    with np.errstate(all="ignore"):  # a non-finite row is rejected below
+        for i, v in enumerate(training_mask(C.shape[0], len(Y), policy)):
+            logits[i] = model.logits(C[:v], Y[:i])
+    if not np.isfinite(logits).all():
+        raise ValueError("model logits are not finite")
     return logits
 
 
@@ -242,21 +246,24 @@ def predictive_distribution(
 
 
 def interleaved_loss_and_grads(
-    C, Y: Sequence[int], policy: SchedulePolicy, params: PredictorParams
+    pairs: Sequence[tuple], policy: SchedulePolicy, params: PredictorParams
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Loss, analytic parameter gradients, and the gradient w.r.t. ``C``, from
-    one batched ``params.forward`` over all positions; the prefix means are
-    read off one running sum of ``C``, so no position depends on later rows."""
-    C = _check_inputs(C, Y, params.vocab)
-    n, d = C.shape
-    v = np.array(training_mask(n, len(Y), policy), dtype=int)
-    prev = np.array([params.start_row, *Y], dtype=int)[: len(Y)]
-    means = np.cumsum(C, axis=0)[v - 1] / v[:, None]
-    features, hidden, logits = params.forward(means, prev)
-    target = np.asarray(Y, dtype=int)
-    loss = float(cross_entropy(logits, target).sum())
-
-    d_logits = cross_entropy_grads(logits, target)
+    """Loss summed over the ``(C, Y)`` pairs, its parameter gradients, and its
+    gradient w.r.t. every ``C`` (concatenated in pair order), from one
+    ``params.forward`` over the pairs' concatenated rows, with no padding: a
+    position that sees ``v`` rows of the pair starting at row ``start`` has the
+    mean ``(csum[start + v] - csum[start]) / v`` of one zero-led running sum."""
+    Cs = [_check_inputs(C, Y, params.vocab) for C, Y in pairs]
+    C = np.concatenate(Cs)
+    d = C.shape[1]
+    sizes = [len(c) for c in Cs]
+    ends = np.cumsum(sizes)
+    start = np.repeat(ends - sizes, [len(Y) for _, Y in pairs])
+    v = np.array([u for c, (_, Y) in zip(Cs, pairs) for u in training_mask(len(c), len(Y), policy)], dtype=int)
+    prev = np.array([t for _, Y in pairs for t in [params.start_row, *Y][: len(Y)]], dtype=int)
+    csum = np.cumsum(np.concatenate([np.zeros((1, d)), C]), axis=0)
+    features, hidden, logits = params.forward((csum[start + v] - csum[start]) / v[:, None], prev)
+    terms, d_logits = cross_entropy_and_grads(logits, np.array([t for _, Y in pairs for t in Y], dtype=int))
     d_hidden = d_logits @ params.out_weight
     d_features = d_hidden @ params.feat_weight
     grads = {
@@ -267,12 +274,13 @@ def interleaved_loss_and_grads(
         "out_bias": d_logits.sum(axis=0),
     }
     np.add.at(grads["token_emb"], prev, d_features[:, d:])  # ids repeat
-    # Each mean spreads d_mean / v over rows 0..v-1: scatter it at row v-1,
-    # then a reverse running sum hands every row the share of each mean it is in.
-    d_sums = np.zeros_like(C)
-    np.add.at(d_sums, v - 1, d_features[:, :d] / v[:, None])
-    d_C = np.cumsum(d_sums[::-1], axis=0)[::-1]
-    return loss, grads, d_C
+    # Scatter each mean's d_mean / v at its last row; a reverse running sum hands
+    # every row its share of each mean at or after it.  Subtracting that sum at the
+    # pair's end row drops later pairs' shares and leaves unseen rows exactly zero.
+    d_sums = np.zeros((len(C) + 1, d))
+    np.add.at(d_sums, start + v - 1, d_features[:, :d] / v[:, None])
+    tail = np.cumsum(d_sums[::-1], axis=0)[::-1]
+    return float(terms.sum()), grads, tail[:-1] - np.repeat(tail[ends], sizes, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +430,12 @@ def train_toy(
     hidden_dim: int = 16,
     seed: int = 0,
 ) -> tuple[PredictorParams, list[float]]:
-    """Full-batch gradient descent on the masked interleaved loss.
-
+    """Full-batch gradient descent on the masked interleaved loss, one
+    :func:`interleaved_loss_and_grads` call over the dataset per epoch.
     Returns the trained parameters and the per-epoch loss curve (mean loss
     per sample, evaluated at the start of each epoch, so ``lr == 0`` yields a
-    constant curve).  Aborts with a diagnostic if the loss leaves the finite
-    range.
-    """
+    constant curve).  Aborts with a diagnostic if the loss or a parameter
+    leaves the finite range."""
     if not dataset:
         raise ValueError("dataset is empty")
     if params is None:
@@ -437,32 +444,27 @@ def train_toy(
         fused_dim = np.asarray(dataset[0][0]).shape[1]
         params = init_predictor(vocab, fused_dim, emb_dim, hidden_dim, np.random.default_rng(seed))
 
-    def loss_and_grads(arrays: dict, pair: tuple):
-        return interleaved_loss_and_grads(*pair, policy, params.replace(arrays))[:2]
-
-    arrays, curve = _descend(params.arrays(), loss_and_grads, dataset, epochs, lr)
+    loss_and_grads = lambda a: interleaved_loss_and_grads(dataset, policy, params.replace(a))[:2]
+    arrays, curve = _descend(params.arrays(), loss_and_grads, len(dataset), epochs, lr)
     return params.replace(arrays), curve
 
 
-def _descend(arrays: dict, loss_and_grads, dataset: Sequence, epochs: int, lr: float):
-    """Full-batch gradient descent on a dict of arrays, given one sample's
-    ``(loss, grads)`` from ``loss_and_grads(arrays, sample)``."""
+def _descend(arrays: dict, loss_and_grads, samples: int, epochs: int, lr: float):
+    """Gradient descent on a dict of arrays, given the ``(loss, grads)`` summed over
+    all ``samples`` from one ``loss_and_grads(arrays)`` call per epoch.  A non-finite
+    loss or update raises ``ValueError`` naming the epoch, so numpy's warnings are off."""
     records.positive_int("epochs", epochs)
     records.finite_nonneg("lr", lr)
     curve: list[float] = []
-    for epoch in range(epochs):
-        batch = {k: np.zeros_like(v) for k, v in arrays.items()}
-        total = 0.0
-        for sample in dataset:
-            loss, grads = loss_and_grads(arrays, sample)
-            total += loss
-            for key in batch:
-                batch[key] += grads[key]
-        mean_loss = total / len(dataset)
-        if not np.isfinite(mean_loss):
-            raise ValueError(f"non-finite training loss {mean_loss} at epoch {epoch}")
-        curve.append(mean_loss)
-        arrays = sgd_step(arrays, batch, lr / len(dataset))
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            loss, grads = loss_and_grads(arrays)
+            if not np.isfinite(loss / samples):
+                raise ValueError(f"non-finite training loss {loss / samples} at epoch {epoch}")
+            curve.append(loss / samples)
+            arrays = sgd_step(arrays, grads, lr / samples)
+            if not all(np.isfinite(a).all() for a in arrays.values()):
+                raise ValueError(f"non-finite parameters after the update at epoch {epoch}")
     return arrays, curve
 
 
@@ -516,36 +518,29 @@ def fused_representations(
 
 
 def fused_loss_and_grads(
-    hidden_states,
-    text_ids: Sequence[int],
-    Y: Sequence[int],
-    policy: SchedulePolicy,
-    ffn: FfnParams,
-    gate: GateParams,
-    params: PredictorParams,
+    samples: Sequence[tuple], policy: SchedulePolicy, ffn: FfnParams, gate: GateParams, params: PredictorParams
 ) -> tuple[float, FfnParams, GateParams, dict[str, np.ndarray]]:
-    """Masked loss with gradients for the fusion stack and the predictor.
-
-    The source hidden states are treated as frozen inputs; the projection
-    FFN, the gate, the token embeddings, and the predictor all receive
-    gradients.  Text embeddings reuse the predictor's token table, so that
-    table accumulates gradient from both the fusion path and the
-    previous-token path.
-    """
+    """Masked loss summed over ``(hidden_states, text_ids, Y)`` samples, with
+    gradients for the fusion stack and the predictor, from one :func:`fuse`,
+    one :func:`interleaved_loss_and_grads` and one :func:`fuse_grads` over
+    every sample's rows.  The source hidden states are frozen inputs.  Text
+    embeddings reuse the predictor's token table, so that table accumulates
+    gradient from both the fusion path and the previous-token path."""
+    sizes = [len(h) for h, _, _ in samples]
+    if sizes != [len(ids) for _, ids, _ in samples]:
+        raise ValueError("every sample needs one text id per hidden state")
+    hidden_states = np.concatenate([h for h, _, _ in samples])
+    text_ids = [t for _, ids, _ in samples for t in ids]
     e_hidden, e_emb, C = fuse(ffn, gate, params.token_emb, hidden_states, text_ids)
-    loss, grads, d_C = interleaved_loss_and_grads(C, Y, policy, params)
+    pairs = [(c, Y) for c, (*_, Y) in zip(np.split(C, np.cumsum(sizes)[:-1]), samples)]
+    loss, grads, d_C = interleaved_loss_and_grads(pairs, policy, params)
     d_ffn, d_gate = fuse_grads(ffn, gate, hidden_states, text_ids, e_hidden, e_emb, d_C, grads["token_emb"])
     return loss, d_ffn, d_gate, grads
 
 
 def train_fused(
-    dataset: Sequence[tuple],
-    policy: SchedulePolicy,
-    ffn: FfnParams,
-    gate: GateParams,
-    params: PredictorParams,
-    epochs: int,
-    lr: float,
+    dataset: Sequence[tuple], policy: SchedulePolicy, ffn: FfnParams, gate: GateParams,
+    params: PredictorParams, epochs: int, lr: float,
 ) -> tuple[FfnParams, GateParams, PredictorParams, list[float]]:
     """Train fusion stack and predictor jointly on (hidden_states, text_ids,
     speech_tokens) triples; source hidden states stay frozen."""
@@ -557,12 +552,12 @@ def train_fused(
         pred = params.replace({k: a[k] for k in params.arrays()})
         return FfnParams(a["w1"], a["b1"], a["w2"], a["b2"]), GateParams(a["weight"], a["bias"]), pred
 
-    def loss_and_grads(a: dict, sample: tuple):
-        loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(*sample, policy, *split(a))
+    def loss_and_grads(a: dict):
+        loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(dataset, policy, *split(a))
         return loss, {**vars(d_ffn), **vars(d_gate), **d_pred}
 
     start = {**vars(ffn), **vars(gate), **params.arrays()}
-    arrays, curve = _descend(start, loss_and_grads, dataset, epochs, lr)
+    arrays, curve = _descend(start, loss_and_grads, len(dataset), epochs, lr)
     return (*split(arrays), curve)
 
 

@@ -85,6 +85,12 @@ def test_simulate_rejects_non_object_timing_record(tmp_path, capsys) -> None:
     assert (code, out, err) == (1, "", "error: stages[0]: timing record must be an object, got 5\n")
 
 
+def _affine_doc(*stages: str) -> dict:
+    return {"stages": [
+        {"schema": "timing/v1", "stage": s, "form": "affine", "intercept_ms": 1.0, "per_token_ms": 0.5} for s in stages
+    ]}
+
+
 def _qa(**fields) -> list[dict]:
     return [{"schema": "qa-item/v1", "response": "hello", "answers": ["hello"], **fields}]
 
@@ -106,8 +112,13 @@ def _qa(**fields) -> list[dict]:
         (None, ["train-toy", "--epochs", "0"]),
         (None, ["train-toy", "--epochs", "-1"]),
         (None, ["datagen", "--count", "-3", "--out", "corpus.jsonl"]),
+        # the update overflows the forward pass; no RuntimeWarning, no params file
+        (None, ["train-toy", "--lr", "1e308", "--epochs", "1", "--copy-samples", "4", "--params-out", "p.tensors"]),
+        ([[10**400 - 1, 1.0], [2, 3.0]], ["calibrate", "--points", "IN"]),
+        (_affine_doc("llm", "tts", "fm_voc"), ["simulate", "--timing", "IN", "--R", "9" * 400, "--W", "10"]),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, monkeypatch, content, argv) -> None:
     monkeypatch.chdir(tmp_path)
     rows = isinstance(content, list) and isinstance(content[0], dict)

@@ -16,7 +16,7 @@ from streamvox.numerics import (
     adapter_downsample,
     apply_adapter,
     cross_entropy,
-    cross_entropy_grads,
+    cross_entropy_and_grads,
     ffn_apply,
     ffn_grads,
     finite_diff_check,
@@ -254,7 +254,7 @@ def test_kernels_on_stacked_rows_match_row_by_row(lead, d_in, hidden, d, classes
     stacked_ffn = ffn_apply(ffn, x)
     stacked_gate = gate_fuse(gate, e_hidden, e_emb)
     stacked_ce = cross_entropy(logits, target)
-    stacked_ce_grads = cross_entropy_grads(logits, target)
+    stacked_ce_terms, stacked_ce_grads = cross_entropy_and_grads(logits, target)
     gate_grads = gate_fuse_grads(gate, e_hidden, e_emb, d_fused)
     d_ffn, d_x = ffn_grads(ffn, x, d_out)
     stacked_fuse = fuse(ffn, gate, table, x, ids)
@@ -271,8 +271,8 @@ def test_kernels_on_stacked_rows_match_row_by_row(lead, d_in, hidden, d, classes
             assert np.array_equal(got[i], want)
         assert np.array_equal(log_softmax(logits)[i], log_softmax(logits[i]))
         assert np.array_equal(softmax(logits)[i], softmax(logits[i]))
-        assert stacked_ce[i] == cross_entropy(logits[i], target[i])
-        assert np.array_equal(stacked_ce_grads[i], cross_entropy_grads(logits[i], target[i]))
+        assert stacked_ce[i] == cross_entropy(logits[i], target[i]) == stacked_ce_terms[i]
+        assert np.array_equal(stacked_ce_grads[i], cross_entropy_and_grads(logits[i], target[i])[1])
         d_w, d_b, d_eh, d_ee = gate_fuse_grads(gate, e_hidden[i], e_emb[i], d_fused[i])
         assert np.array_equal(gate_grads[2][i], d_eh) and np.array_equal(gate_grads[3][i], d_ee)
         summed_gate[0] += d_w
@@ -452,10 +452,11 @@ def test_gate_and_ffn_input_gradients() -> None:
 
 def test_cross_entropy_grads_are_softmax_minus_onehot() -> None:
     logits = np.array([0.2, -1.0, 3.0])
-    grads = cross_entropy_grads(logits, 1)
+    loss, grads = cross_entropy_and_grads(logits, 1)
     expected = softmax(logits)
     expected[1] -= 1
-    np.testing.assert_allclose(grads, expected, rtol=1e-12)
+    assert loss == cross_entropy(logits, 1)  # bit identical
+    np.testing.assert_array_equal(grads, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from streamvox.numerics import (
     FfnParams,
     GateParams,
     cross_entropy,
-    cross_entropy_grads,
     finite_diff_check,
     log_softmax,
     pack_arrays,
@@ -222,7 +221,7 @@ def test_interleaved_loss_gradients_match_finite_differences() -> None:
 
     def loss_and_grad(theta: np.ndarray):
         probe = rebuild(theta)
-        loss, grads, _ = interleaved_loss_and_grads(C, Y, policy, probe)
+        loss, grads, _ = interleaved_loss_and_grads([(C, Y)], policy, probe)
         return loss, pack_arrays([grads[k] for k in keys])
 
     assert finite_diff_check(loss_and_grad, theta0, eps=1e-5) < 1e-5
@@ -237,7 +236,7 @@ def test_interleaved_loss_gradient_wrt_inputs() -> None:
 
     def loss_and_grad(theta: np.ndarray):
         probe = theta.reshape(C.shape)
-        loss, _, d_C = interleaved_loss_and_grads(probe, Y, policy, params)
+        loss, _, d_C = interleaved_loss_and_grads([(probe, Y)], policy, params)
         return loss, d_C.ravel()
 
     assert finite_diff_check(loss_and_grad, C.ravel(), eps=1e-5) < 1e-5
@@ -257,7 +256,7 @@ def _looped_loss_and_grads(C, Y, policy, params):
         hidden = params.feat_weight @ feature + params.feat_bias
         logits = params.out_weight @ hidden + params.out_bias
         total += cross_entropy(logits, target)
-        d_logits = cross_entropy_grads(logits, target)
+        d_logits = softmax(logits) - np.eye(len(logits))[target]
         grads["out_weight"] += np.outer(d_logits, hidden)
         grads["out_bias"] += d_logits
         d_hidden = params.out_weight.T @ d_logits
@@ -273,13 +272,12 @@ def _looped_loss_and_grads(C, Y, policy, params):
 @given(
     R=st.integers(1, 4),
     W=st.integers(1, 4),
-    n=st.integers(1, 9),
-    m=st.integers(0, 16),
+    lengths=st.lists(st.tuples(st.integers(1, 9), st.integers(0, 16)), min_size=1, max_size=4),
     alphabet=st.integers(1, 3),
     sizes=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_gradients_match_per_position_loop(R, W, n, m, alphabet, sizes, seed) -> None:
+def test_batched_gradients_match_per_position_loop(R, W, lengths, alphabet, sizes, seed) -> None:
     rng = np.random.default_rng(seed)
     d, emb, hidden = sizes
     policy = SchedulePolicy(R, W)
@@ -287,26 +285,28 @@ def test_batched_gradients_match_per_position_loop(R, W, n, m, alphabet, sizes, 
     params = params.replace(
         {**params.arrays(), "feat_bias": rng.standard_normal(hidden), "out_bias": rng.standard_normal(17)}
     )
-    C = rng.standard_normal((n, d))
     # A small alphabet makes previous-token ids repeat; EOS may appear too.
-    Y = [int(t) for t in rng.choice([VOCAB.speech_token(k) for k in range(alphabet)] + [VOCAB.eos_id], m)]
+    tokens = [VOCAB.speech_token(k) for k in range(alphabet)] + [VOCAB.eos_id]
+    pairs = [(rng.standard_normal((n, d)), [int(t) for t in rng.choice(tokens, m)]) for n, m in lengths]
 
-    loss, grads, d_C = interleaved_loss_and_grads(C, Y, policy, params)
-    ref_loss, ref_grads, ref_d_C = _looped_loss_and_grads(C, Y, policy, params)
-    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-300)
-    assert loss == pytest.approx(interleaved_loss(C, Y, policy, params), rel=1e-12, abs=1e-300)
-    assert sorted(grads) == sorted(ref_grads)
-    for key, ref in ref_grads.items():
+    loss, grads, d_C = interleaved_loss_and_grads(pairs, policy, params)
+    refs = [_looped_loss_and_grads(C, Y, policy, params) for C, Y in pairs]
+    assert loss == pytest.approx(sum(r[0] for r in refs), rel=1e-12, abs=1e-300)
+    assert loss == pytest.approx(sum(interleaved_loss(*p, policy, params) for p in pairs), rel=1e-12, abs=1e-300)
+    assert sorted(grads) == sorted(refs[0][1])
+    for key in grads:
+        ref = sum(r[1][key] for r in refs)
         np.testing.assert_allclose(grads[key], ref, rtol=1e-12, atol=1e-12, err_msg=key)
-    np.testing.assert_allclose(d_C, ref_d_C, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(d_C, np.concatenate([r[2] for r in refs]), rtol=1e-12, atol=1e-12)
 
-    # Rows that no position sees get exactly zero gradient, and changing them
-    # changes nothing else, bit for bit.
-    seen = max((visible_prefix(i, n, policy) for i in range(1, m + 1)), default=0)
-    assert not d_C[seen:].any()
-    perturbed = C.copy()
-    perturbed[seen:] += 10.0 * rng.standard_normal((n - seen, d))
-    loss_p, grads_p, d_C_p = interleaved_loss_and_grads(perturbed, Y, policy, params)
+    # Rows that no position of their pair sees get exactly zero gradient.
+    # Changing the last pair's unseen rows changes nothing else, bit for bit.
+    for (C, Y), d_C_pair in zip(pairs, np.split(d_C, np.cumsum([len(C) for C, _ in pairs])[:-1])):
+        seen = max((visible_prefix(i, len(C), policy) for i in range(1, len(Y) + 1)), default=0)
+        assert not d_C_pair[seen:].any()
+    last = pairs[-1][0].copy()
+    last[seen:] += 10.0 * rng.standard_normal((len(last) - seen, d))
+    loss_p, grads_p, d_C_p = interleaved_loss_and_grads([*pairs[:-1], (last, pairs[-1][1])], policy, params)
     assert loss_p == loss
     for key in grads:
         np.testing.assert_array_equal(grads_p[key], grads[key])
@@ -611,7 +611,7 @@ def test_fused_loss_gradients_match_finite_differences() -> None:
         probe_gate = GateParams(parts[4], parts[5])
         probe_params = params.replace(dict(zip(pred_keys, parts[6:])))
         loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(
-            hidden_states, text_ids, Y, policy, probe_ffn, probe_gate, probe_params
+            [(hidden_states, text_ids, Y)], policy, probe_ffn, probe_gate, probe_params
         )
         grad = [d_ffn.w1, d_ffn.b1, d_ffn.w2, d_ffn.b2, d_gate.weight, d_gate.bias] + [
             d_pred[k] for k in pred_keys
@@ -621,6 +621,42 @@ def test_fused_loss_gradients_match_finite_differences() -> None:
     assert finite_diff_check(loss_and_grad, pack_arrays(arrays), eps=1e-5) < 1e-5
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 8)), min_size=1, max_size=4),
+    R=st.integers(1, 3),
+    W=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_gradients_over_samples_match_per_sample_loop(lengths, R, W, seed) -> None:
+    rng = np.random.default_rng(seed)
+    ffn, gate, params = _fused_setup(rng)[:3]
+    samples = [
+        (
+            rng.standard_normal((n, 6)),
+            [VOCAB.text_token(int(t)) for t in rng.integers(2, size=n)],  # text ids repeat
+            [VOCAB.speech_token(int(t)) for t in rng.integers(3, size=m)],
+        )
+        for n, m in lengths
+    ]
+    policy = SchedulePolicy(R, W)
+    loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(samples, policy, ffn, gate, params)
+    refs = [fused_loss_and_grads([s], policy, ffn, gate, params) for s in samples]
+    assert loss == pytest.approx(sum(r[0] for r in refs), rel=1e-12, abs=1e-300)
+    got = {**vars(d_ffn), **vars(d_gate), **d_pred}
+    for key, value in got.items():
+        ref = sum({**vars(r[1]), **vars(r[2]), **r[3]}[key] for r in refs)
+        np.testing.assert_allclose(value, ref, rtol=1e-12, atol=1e-12, err_msg=key)
+
+
+def test_fused_loss_rejects_misaligned_samples() -> None:
+    ffn, gate, params, hidden_states, text_ids, Y = _fused_setup(np.random.default_rng(100))
+    # 4 + 5 rows against 5 + 4 ids: the totals match, the samples do not.
+    samples = [(hidden_states, text_ids + [0], Y), (np.vstack([hidden_states, hidden_states[:1]]), text_ids, Y)]
+    with pytest.raises(ValueError, match="one text id per hidden state"):
+        fused_loss_and_grads(samples, SchedulePolicy(2, 2), ffn, gate, params)
+
+
 def test_fused_text_embedding_gradient_with_repeated_ids() -> None:
     ffn, gate, params, hidden_states, _, Y = _fused_setup(np.random.default_rng(98))
     text_ids = [2, 0, 2, 2]  # one table row receives three fusion-path gradients
@@ -628,7 +664,7 @@ def test_fused_text_embedding_gradient_with_repeated_ids() -> None:
 
     def loss_and_grad(theta: np.ndarray):
         probe = params.replace({**params.arrays(), "token_emb": theta.reshape(params.token_emb.shape)})
-        loss, _, _, d_pred = fused_loss_and_grads(hidden_states, text_ids, Y, policy, ffn, gate, probe)
+        loss, _, _, d_pred = fused_loss_and_grads([(hidden_states, text_ids, Y)], policy, ffn, gate, probe)
         return loss, d_pred["token_emb"].ravel()
 
     assert finite_diff_check(loss_and_grad, params.token_emb.ravel(), eps=1e-5) < 1e-5
