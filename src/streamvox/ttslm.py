@@ -94,8 +94,13 @@ class ExtendedVocab:
 
 class Predictor(Protocol):
     """Next-token scorer.  ``visible`` is the ``(v, d)`` visible prefix of
-    fused representations.  ``decode_stream`` passes a read-only view of its
-    row buffer, which costs the same at any prefix length."""
+    fused representations.
+
+    A predictor may also define ``session()``, returning a decode state with
+    ``extend(row)``, which appends one fused row, and ``logits(prev_ids)``,
+    which scores like ``logits`` on every row extended so far.
+    ``decode_stream`` drives a session.  For a predictor without one, it
+    keeps the rows in a buffer and passes a read-only view of them."""
 
     vocab: ExtendedVocab
 
@@ -158,11 +163,21 @@ class PredictorParams:
         return features, hidden, hidden @ self.out_weight.T + self.out_bias
 
     def logits(self, visible: np.ndarray, prev_ids: Sequence[int]) -> np.ndarray:
+        """Logits after ``prev_ids`` given the ``(v, d)`` visible rows.  Their mean
+        is a running sum in row order over ``v``, the sum a :meth:`session` and
+        training take, so all three agree bit for bit (``mean(axis=0)`` sums a
+        ``(v, 1)`` prefix pairwise instead)."""
         visible = np.asarray(visible, dtype=float)
-        if visible.ndim != 2 or visible.shape[0] < 1 or visible.shape[1] != self.fused_dim:
-            raise ValueError(f"visible must be (v >= 1, {self.fused_dim}), got {visible.shape}")
+        self._check_visible(visible.shape)
         prev = prev_ids[-1] if len(prev_ids) else self.start_row
-        return self.forward(visible.mean(axis=0), prev)[-1]
+        return self.forward(np.cumsum(visible, axis=0)[-1] / len(visible), prev)[-1]
+
+    def session(self) -> "PredictorSession":
+        return PredictorSession(self)
+
+    def _check_visible(self, shape: tuple) -> None:
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != self.fused_dim:
+            raise ValueError(f"visible must be (v >= 1, {self.fused_dim}), got {shape}")
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {
@@ -175,6 +190,36 @@ class PredictorParams:
 
     def replace(self, arrays: dict[str, np.ndarray]) -> "PredictorParams":
         return PredictorParams(vocab=self.vocab, **arrays)
+
+
+class PredictorSession:
+    """Decode state of a :class:`PredictorParams`: the running sum of the rows
+    extended so far, in row order, and their count.  ``logits`` equals
+    ``params.logits(rows, prev_ids)`` bit for bit, at a cost that does not
+    depend on the number of rows."""
+
+    def __init__(self, params: PredictorParams) -> None:
+        self.params = params
+        self.total: np.ndarray | None = None
+        self.count = 0
+        self.mean: np.ndarray | None = None  # total / count, taken once per read
+
+    def extend(self, row: np.ndarray) -> None:
+        row = np.asarray(row, dtype=float)
+        self.params._check_visible((self.count + 1, *row.shape))
+        if self.total is None:
+            self.total = row.copy()
+        else:
+            self.total += row
+        self.count += 1
+        self.mean = None
+
+    def logits(self, prev_ids: Sequence[int]) -> np.ndarray:
+        if self.mean is None:
+            self.params._check_visible((self.count, self.params.fused_dim))
+            self.mean = self.total / self.count
+        prev = prev_ids[-1] if len(prev_ids) else self.params.start_row
+        return self.params.forward(self.mean, prev)[-1]
 
 
 def init_predictor(
@@ -250,19 +295,20 @@ def interleaved_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Loss summed over the ``(C, Y)`` pairs, its parameter gradients, and its
     gradient w.r.t. every ``C`` (concatenated in pair order), from one
-    ``params.forward`` over the pairs' concatenated rows, with no padding: a
-    position that sees ``v`` rows of the pair starting at row ``start`` has the
-    mean ``(csum[start + v] - csum[start]) / v`` of one zero-led running sum."""
+    ``params.forward`` over the pairs' concatenated rows, with no padding.  Each
+    pair has its own zero-led running sum ``csum``, so a position that sees ``v``
+    of its rows has the mean ``csum[v] / v`` that a decode session of that pair
+    takes, bit for bit, whatever the other pairs hold."""
     Cs = [_check_inputs(C, Y, params.vocab) for C, Y in pairs]
-    C = np.concatenate(Cs)
-    d = C.shape[1]
     sizes = [len(c) for c in Cs]
-    ends = np.cumsum(sizes)
-    start = np.repeat(ends - sizes, [len(Y) for _, Y in pairs])
+    starts = np.cumsum([0, *sizes[:-1]])
+    pair = np.repeat(np.arange(len(Cs)), [len(Y) for _, Y in pairs])
     v = np.array([u for c, (_, Y) in zip(Cs, pairs) for u in training_mask(len(c), len(Y), policy)], dtype=int)
     prev = np.array([t for _, Y in pairs for t in [params.start_row, *Y][: len(Y)]], dtype=int)
-    csum = np.cumsum(np.concatenate([np.zeros((1, d)), C]), axis=0)
-    features, hidden, logits = params.forward((csum[start + v] - csum[start]) / v[:, None], prev)
+    # Pair i's sums are rows starts[i] + i onward: one leading zero row per pair.
+    csum = np.concatenate([np.cumsum(np.concatenate([np.zeros((1, c.shape[1])), c]), axis=0) for c in Cs])
+    d = csum.shape[1]
+    features, hidden, logits = params.forward(csum[starts[pair] + pair + v] / v[:, None], prev)
     terms, d_logits = cross_entropy_and_grads(logits, np.array([t for _, Y in pairs for t in Y], dtype=int))
     d_hidden = d_logits @ params.out_weight
     d_features = d_hidden @ params.feat_weight
@@ -274,13 +320,13 @@ def interleaved_loss_and_grads(
         "out_bias": d_logits.sum(axis=0),
     }
     np.add.at(grads["token_emb"], prev, d_features[:, d:])  # ids repeat
-    # Scatter each mean's d_mean / v at its last row; a reverse running sum hands
-    # every row its share of each mean at or after it.  Subtracting that sum at the
-    # pair's end row drops later pairs' shares and leaves unseen rows exactly zero.
-    d_sums = np.zeros((len(C) + 1, d))
-    np.add.at(d_sums, start + v - 1, d_features[:, :d] / v[:, None])
-    tail = np.cumsum(d_sums[::-1], axis=0)[::-1]
-    return float(terms.sum()), grads, tail[:-1] - np.repeat(tail[ends], sizes, axis=0)
+    # Scatter each mean's d_mean / v at its last row; a reverse running sum over
+    # each pair hands every row its share of each mean at or after it and leaves
+    # rows no position sees exactly zero.
+    d_sums = np.zeros((sum(sizes), d))
+    np.add.at(d_sums, starts[pair] + v - 1, d_features[:, :d] / v[:, None])
+    d_C = np.concatenate([np.cumsum(g[::-1], axis=0)[::-1] for g in np.split(d_sums, starts[1:])])
+    return float(terms.sum()), grads, d_C
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +376,20 @@ def decode_stream(
     mode is deterministic; sampled mode is reproducible under ``config.seed``.
 
     Each pulled row must be a finite 1-D vector as wide as the first; a bad
-    row raises ``ValueError`` naming its index.  Rows are appended to one
-    buffer that doubles when full, and the model gets a read-only view of
-    the visible rows, so a step's own cost outside ``model.logits`` is the
-    same at any prefix length.
+    row raises ``ValueError`` naming its index.  Rows go to the model's
+    ``session()`` (see :class:`Predictor`), so a step's own cost outside the
+    session's ``logits`` is the same at any prefix length.
     """
     it = iter(stream)
     rng = np.random.default_rng(config.seed)
-    rows = np.empty((0, 0))
-    n = 0
+    session = model.session() if hasattr(model, "session") else _RowBufferSession(model)
+    width = n = 0
     tokens: list[int] = []
     trace: list[Action] = []
     exhausted = False
 
     def read_block() -> int:
-        nonlocal rows, n, exhausted
+        nonlocal width, n, exhausted
         got = 0
         while got < policy.read_block:
             try:
@@ -354,13 +399,12 @@ def decode_stream(
                 break
             if vec.ndim != 1:
                 raise ValueError(f"fused row {n} must be 1-D, got shape {vec.shape}")
-            if n and len(vec) != rows.shape[1]:
-                raise ValueError(f"fused row {n} has width {len(vec)}, expected {rows.shape[1]}")
+            if n and len(vec) != width:
+                raise ValueError(f"fused row {n} has width {len(vec)}, expected {width}")
             if not np.isfinite(vec).all():
                 raise ValueError(f"fused row {n} is not finite")
-            if n == len(rows):
-                rows = np.concatenate([rows, np.empty_like(rows)]) if n else np.empty((64, len(vec)))
-            rows[n] = vec
+            session.extend(vec)
+            width = len(vec)
             n += 1
             got += 1
         return got
@@ -373,12 +417,9 @@ def decode_stream(
 
     done = False
     while not done:
-        visible = rows[:n]
-        visible.flags.writeable = False
         wrote = 0
         while wrote < policy.write_block and len(tokens) < config.max_tokens:
-            logits = model.logits(visible, tokens)
-            token = _choose_token(logits, config, rng)
+            token = _choose_token(session.logits(tokens), config, rng)
             kind = model.vocab.kind(token)
             if kind == KIND_TEXT:
                 raise ValueError(f"model emitted text-kind token {token} during speech decoding")
@@ -398,13 +439,40 @@ def decode_stream(
     return DecodeResult(tokens=tokens, trace=trace, reps_read=n)
 
 
+class _RowBufferSession:
+    """Decode session for a predictor without ``session()``: rows go to one
+    buffer that doubles when full, and the model scores a read-only view of
+    the rows so far."""
+
+    def __init__(self, model: Predictor) -> None:
+        self.model = model
+        self.rows = np.empty((0, 0))
+        self.n = 0
+        self.visible: np.ndarray | None = None
+
+    def extend(self, row: np.ndarray) -> None:
+        if self.n == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)]) if self.n else np.empty((64, len(row)))
+        self.rows[self.n] = row
+        self.n += 1
+        self.visible = None
+
+    def logits(self, prev_ids: Sequence[int]) -> np.ndarray:
+        if self.visible is None:
+            self.visible = self.rows[: self.n]
+            self.visible.flags.writeable = False
+        return self.model.logits(self.visible, prev_ids)
+
+
 _PROB_SUM_ATOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def _choose_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator) -> int:
     if config.mode == "greedy":
         return int(np.argmax(logits))
-    probs = np.exp(log_softmax(np.asarray(logits, dtype=float) / config.temperature))
+    logits = np.asarray(logits, dtype=float)
+    # x / 1.0 == x exactly, so skipping that divide changes no token.
+    probs = np.exp(log_softmax(logits if config.temperature == 1.0 else logits / config.temperature))
     # The inverse-CDF draw of ``rng.choice(len(probs), p=probs)``, bit for bit
     # and with the same single ``rng.random()``, minus that call's overhead.
     cdf = np.cumsum(probs)

@@ -313,6 +313,35 @@ def test_batched_gradients_match_per_position_loop(R, W, lengths, alphabet, size
     np.testing.assert_array_equal(d_C_p, d_C)
 
 
+def _small_after_big(magnitude: float, big_targets: int):
+    """A 200-row pair of entries near ``magnitude`` and a 6-row pair of unit
+    entries, under a predictor whose feature weights are scaled by 30."""
+    rng = np.random.default_rng(61)
+    params = init_predictor(VOCAB, fused_dim=3, rng=rng)
+    params = params.replace({**params.arrays(), "feat_weight": 30.0 * params.feat_weight})
+    big = (magnitude * (1.0 + rng.random((200, 3))), [VOCAB.speech_token(k % 12) for k in range(big_targets)])
+    small = (rng.standard_normal((6, 3)), [VOCAB.speech_token(int(t)) for t in rng.integers(12, size=6)])
+    return params, big, small
+
+
+@pytest.mark.parametrize("magnitude", [1e4, 1e8, 1e12])
+def test_pair_outputs_do_not_depend_on_earlier_pairs(magnitude) -> None:
+    policy = SchedulePolicy(2, 3)
+    params, big, small = _small_after_big(magnitude, big_targets=0)
+    alone = interleaved_loss_and_grads([small], policy, params)
+    after = interleaved_loss_and_grads([big, small], policy, params)
+    # The big pair has no targets, so the losses and gradients hold small's terms alone.
+    assert after[0] == alone[0]
+    for key in alone[1]:
+        np.testing.assert_array_equal(after[1][key], alone[1][key], err_msg=key)
+    assert not after[2][:200].any()
+    np.testing.assert_array_equal(after[2][200:], alone[2])
+    # With targets on the big pair, small's rows still get their own gradient.
+    params, big, small = _small_after_big(magnitude, big_targets=30)
+    d_C = interleaved_loss_and_grads([big, small], policy, params)[2]
+    np.testing.assert_allclose(d_C[200:], interleaved_loss_and_grads([small], policy, params)[2], rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -532,6 +561,59 @@ def test_decode_rejects_bad_rows(rows, message) -> None:
         decode_stream(
             iter(rows), SchedulePolicy(3, 2), SpeechOnlyModel(VOCAB), DecodeConfig(max_tokens=4)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 16),
+    v=st.integers(1, 700),
+    prev=st.lists(st.integers(0, VOCAB.total_size - 1), max_size=3),
+    scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_session_logits_equal_one_shot_logits(d, v, prev, scale, seed) -> None:
+    rng = np.random.default_rng(seed)
+    params = init_predictor(VOCAB, fused_dim=d, rng=rng)
+    C = scale * rng.standard_normal((v, d))
+    session = params.session()
+    for row in C:
+        session.extend(row)
+    np.testing.assert_array_equal(session.logits(prev), params.logits(C, prev))
+    # One more row changes the mean the next read takes.
+    session.extend(C[0])
+    np.testing.assert_array_equal(session.logits(prev), params.logits(np.vstack([C, C[:1]]), prev))
+
+
+@dataclass
+class LogitsOnly:
+    """A predictor without ``session()``, so decoding keeps a row buffer for it."""
+
+    inner: PredictorParams
+
+    @property
+    def vocab(self) -> ExtendedVocab:
+        return self.inner.vocab
+
+    def logits(self, visible, prev_ids):
+        return self.inner.logits(visible, prev_ids)
+
+
+@pytest.mark.parametrize("wrap", [lambda p: p, LogitsOnly], ids=["session", "logits-only"])
+def test_decode_rejects_a_first_row_of_the_wrong_width(wrap) -> None:
+    model = wrap(_speech_only_predictor(3, 0))
+    with pytest.raises(ValueError, match=r"visible must be \(v >= 1, 3\)"):
+        decode_stream(iter(np.zeros((4, 5))), SchedulePolicy(2, 2), model, DecodeConfig(max_tokens=4))
+
+
+def test_session_rejects_bad_rows_and_reads_before_rows() -> None:
+    session = init_predictor(VOCAB, fused_dim=3).session()
+    with pytest.raises(ValueError, match=r"visible must be \(v >= 1, 3\), got \(0, 3\)"):
+        session.logits([])
+    with pytest.raises(ValueError, match=r"got \(1, 4\)"):
+        session.extend(np.zeros(4))
+    session.extend(np.zeros(3))
+    with pytest.raises(ValueError, match=r"got \(2, 1\)"):
+        session.extend(np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
