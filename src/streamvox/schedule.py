@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .records import positive_int
+from .records import positive_int, prefixed
 
 READ = "read"
 WRITE = "write"
@@ -180,8 +180,16 @@ def actions_to_records(actions: Iterable[Action]) -> list[dict]:
     return [{"kind": a.kind, "count": a.count} for a in actions]
 
 
-def actions_from_records(records: Iterable[dict]) -> list[Action]:
-    return [Action(r["kind"], r["count"]) for r in records]
+def actions_from_records(records: Iterable) -> list[Action]:
+    """Parse ``schedule/v1`` actions, each ``{"kind": "read" | "write", "count": n}``;
+    a missing field reads as None.  Errors name the record index and field."""
+    actions = []
+    for i, r in enumerate(records):
+        with prefixed(f"actions[{i}]: "):
+            if not isinstance(r, Mapping):
+                raise ValueError(f"action record must be an object, got {r!r}")
+            actions.append(Action(r.get("kind"), r.get("count")))
+    return actions
 
 
 def _check_lengths(total_reps: int, total_tokens: int) -> None:

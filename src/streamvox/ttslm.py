@@ -52,8 +52,9 @@ class ExtendedVocab:
     speech_size: int = DEFAULT_SPEECH_SIZE
 
     def __post_init__(self) -> None:
-        if self.text_size < 0 or self.speech_size < 1:
-            raise ValueError("vocabulary sizes must be non-negative (speech >= 1)")
+        if isinstance(self.text_size, bool) or not isinstance(self.text_size, int) or self.text_size < 0:
+            raise ValueError(f"text_size must be a non-negative integer, got {self.text_size!r}")
+        records.positive_int("speech_size", self.speech_size)
 
     @property
     def eos_id(self) -> int:
@@ -160,7 +161,9 @@ class PredictorParams:
         and previous-token ids ``(...)``; leading axes are batch axes."""
         features = np.concatenate([means, self.token_emb[prev]], axis=-1)
         hidden = features @ self.feat_weight.T + self.feat_bias
-        return features, hidden, hidden @ self.out_weight.T + self.out_bias
+        logits = hidden @ self.out_weight.T
+        logits += self.out_bias
+        return features, hidden, logits
 
     def logits(self, visible: np.ndarray, prev_ids: Sequence[int]) -> np.ndarray:
         """Logits after ``prev_ids`` given the ``(v, d)`` visible rows.  Their mean
@@ -465,21 +468,83 @@ class _RowBufferSession:
 
 
 _PROB_SUM_ATOL = float(np.sqrt(np.finfo(float).eps))
+_BLOCK = 64
+_SLACK = 1e-9
 
 
 def _choose_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator) -> int:
+    """Greedy: ``argmax``.  Sampled: the token ``rng.choice(len(p), p=p)``
+    draws for ``p = exp(log_softmax(logits / T))``, bit for bit, leaving the
+    same generator state: one ``rng.random()`` per token, none when the
+    logits are rejected.
+
+    The draw is decided from ``e = exp(x - max x)``, ``x = logits / T``:
+    ``_BLOCK``-wide block sums, their running sum (``total`` at the end),
+    and a running sum inside the one block that holds ``target = u * total``.
+    The first ``j`` whose estimate exceeds ``target`` is returned when
+    ``u >= 2**-53`` (every nonzero ``rng.random()``, a multiple of
+    ``2**-53``), ``1 <= total <= 2V`` (true only for finite logits), the
+    estimate before ``j`` is ``<= target * (1 - _SLACK)`` and the estimate
+    at ``j`` is ``> target * (1 + _SLACK)``.  That ``j`` is the token of the
+    exact path, :func:`_exact_draw`, because:
+
+    - each exact probability is ``e_k * exp(-lse)`` to within about
+      ``745 * 2**-53`` plus a few ulp, ≲1e-13 relative: it is ``exp`` of a
+      rounded log-probability of magnitude at most 745 (smaller ones are 0
+      on both paths), and a factor common to all ``k`` cancels in the
+      normalizing divide;
+    - the exact sequential ``cumsum`` adds at most ``V * 2**-53`` (7e-13 at
+      V=6626) and the divide 1 ulp; the block estimates and ``u * total``
+      are off by at most ``(2 * _BLOCK + V / _BLOCK) * 2**-53`` (≲3e-14);
+    - all of these are far below ``_SLACK = 1e-9``, and ``u >= 2**-53``
+      gives ``target >= 2**-53``, so absolute errors from subnormal terms
+      (below ``V * 2**-1074``) cannot flip a decision;
+    - the exact CDF is monotone, so certifying that it is below ``u``
+      before ``j`` and above ``u`` at ``j`` certifies ``j``.
+
+    Every other draw (non-finite logits, ``u == 0``, ``u`` within the slack
+    of a CDF step) runs :func:`_exact_draw` on the same ``u``."""
     if config.mode == "greedy":
         return int(np.argmax(logits))
-    logits = np.asarray(logits, dtype=float)
+    x = np.asarray(logits, dtype=float)
     # x / 1.0 == x exactly, so skipping that divide changes no token.
-    probs = np.exp(log_softmax(logits if config.temperature == 1.0 else logits / config.temperature))
-    # The inverse-CDF draw of ``rng.choice(len(probs), p=probs)``, bit for bit
-    # and with the same single ``rng.random()``, minus that call's overhead.
+    if config.temperature != 1.0:
+        x = x / config.temperature
+    e = x - x.max()
+    np.exp(e, out=e)
+    sums = np.add.reduceat(e, np.arange(0, len(e), _BLOCK))
+    np.cumsum(sums, out=sums)
+    total = sums[-1]
+    if not 1.0 <= total <= 2 * len(e):  # NaN, +inf or all -inf
+        with np.errstate(invalid="ignore"):  # the subtract above has warned once
+            return _exact_draw(x, rng.random)
+    u = rng.random()
+    target = u * total
+    b = int(sums.searchsorted(target, side="right"))
+    if u >= 2.0**-53 and b < len(sums):  # rng.random() draws multiples of 2**-53
+        before = sums[b - 1] if b else 0.0
+        run = np.cumsum(e[b * _BLOCK : (b + 1) * _BLOCK])
+        run += before
+        i = int(run.searchsorted(target, side="right"))
+        if i < len(run):
+            if i:
+                before = run[i - 1]
+            if before <= target * (1 - _SLACK) and run[i] > target * (1 + _SLACK):
+                return b * _BLOCK + i
+    return _exact_draw(x, lambda: u)
+
+
+def _exact_draw(x: np.ndarray, draw) -> int:
+    """The inverse-CDF draw of ``rng.choice(len(p), p=p)`` for
+    ``p = exp(log_softmax(x))``, with ``u = draw()`` standing for its single
+    ``rng.random()``; logits it rejects raise ``ValueError`` before ``draw``
+    is called."""
+    probs = np.exp(log_softmax(x))
     cdf = np.cumsum(probs)
     if not abs(cdf[-1] - 1.0) <= _PROB_SUM_ATOL:  # also rejects NaN and inf
         raise ValueError(f"probabilities are not finite or do not sum to 1 (sum {cdf[-1]})")
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(draw(), side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +707,12 @@ def save_predictor(path, params: PredictorParams) -> None:
 
 
 def load_predictor(path) -> PredictorParams:
+    """Read a :func:`save_predictor` file; a meta size that is missing or not
+    an integer raises ``ValueError`` naming it."""
     tensors, meta = load_tensors(path)
-    vocab = ExtendedVocab(text_size=int(meta["text_size"]), speech_size=int(meta["speech_size"]))
+    fields = meta if isinstance(meta, Mapping) else {}
+    with records.prefixed("meta."):
+        vocab = ExtendedVocab(text_size=fields.get("text_size"), speech_size=fields.get("speech_size"))
     return PredictorParams(vocab=vocab, **tensors)
 
 

@@ -143,6 +143,21 @@ def test_record_serialization_round_trip() -> None:
     assert actions_from_records(actions_to_records(actions)) == actions
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{"kind": "read", "count": 2}, {"count": 3}], r"actions\[1\]: action kind"),
+        ([{"kind": "read"}], r"actions\[0\]: action count"),
+        ([{"kind": "read", "count": 2}, 5], r"actions\[1\]: action record must be an object"),
+        ([{"kind": "write", "count": 2.0}], r"actions\[0\]: action count"),
+        ([{"kind": "skip", "count": 2}], r"actions\[0\]: action kind"),
+    ],
+)
+def test_record_parser_names_index_and_field(rows, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        actions_from_records(rows)
+
+
 def test_parse_rejects_malformed_tokens() -> None:
     with pytest.raises(ValueError):
         parse_actions("R3 X10")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from streamvox.numerics import (
     finite_diff_check,
     log_softmax,
     pack_arrays,
+    save_tensors,
     softmax,
     unpack_arrays,
 )
@@ -40,6 +42,7 @@ from streamvox.ttslm import (
     train_fused,
     train_toy,
 )
+from streamvox import ttslm
 from streamvox.ttslm import _choose_token
 
 VOCAB = ExtendedVocab(text_size=4, speech_size=12)
@@ -77,6 +80,24 @@ def test_vocab_rejects_out_of_range() -> None:
 
 def test_default_speech_size_matches_codec() -> None:
     assert ExtendedVocab(text_size=10).speech_size == 6561
+
+
+@pytest.mark.parametrize(
+    "sizes, field",
+    [
+        ({"text_size": 2.5}, "text_size"),
+        ({"text_size": True}, "text_size"),
+        ({"text_size": 4.0}, "text_size"),
+        ({"text_size": -1}, "text_size"),
+        ({"text_size": "4"}, "text_size"),
+        ({"text_size": 4, "speech_size": 2.5}, "speech_size"),
+        ({"text_size": 4, "speech_size": True}, "speech_size"),
+        ({"text_size": 4, "speech_size": 0}, "speech_size"),
+    ],
+)
+def test_vocab_rejects_non_integer_sizes(sizes, field) -> None:
+    with pytest.raises(ValueError, match=field):
+        ExtendedVocab(**sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +544,89 @@ def test_sampled_choice_matches_generator_choice() -> None:
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sampled_choice_rejects_non_finite_logits(bad) -> None:
     logits = np.zeros(VOCAB.total_size)
     logits[3] = bad
+    if bad == -np.inf:  # one -inf is a zero probability; all of them are rejected
+        logits[:] = bad
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ValueError, match="probabilities"), np.errstate(invalid="ignore"):
-        _choose_token(logits, DecodeConfig(mode="sampled"), np.random.default_rng(0))
+        _choose_token(logits, DecodeConfig(mode="sampled"), rng)
+    assert rng.bit_generator.state == state
+
+
+def _reference_draw(logits: np.ndarray, temperature: float, u: float) -> int:
+    """``Generator.choice``'s inverse-CDF draw at ``u``, written out."""
+    cdf = np.cumsum(np.exp(log_softmax(logits / temperature)))
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def _count_exact_draws(monkeypatch) -> list:
+    calls: list = []
+    exact = ttslm._exact_draw
+
+    def counted(x, draw):
+        calls.append(x)
+        return exact(x, draw)
+
+    monkeypatch.setattr(ttslm, "_exact_draw", counted)
+    return calls
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    size=st.one_of(st.integers(1, 130), st.integers(1, 7000)),
+    scale=st.floats(1e-2, 1e3),
+    mask=st.one_of(st.none(), st.tuples(st.floats(0, 1), st.floats(0, 1), st.sampled_from([-1e9, -np.inf]))),
+    temperature=st.sampled_from([0.3, 1.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_choice_matches_generator_choice_at_any_size(size, scale, mask, temperature, seed) -> None:
+    logits = scale * np.random.default_rng(seed).standard_normal(size)
+    if mask is not None:
+        lo, hi, value = mask
+        lo, hi = sorted((int(lo * size), int(hi * size)))
+        if value == -np.inf:
+            hi = min(hi, size - 1)  # all -inf would be rejected
+        logits[lo:hi] = value
+    config = DecodeConfig(mode="sampled", temperature=temperature)
+    probs = np.exp(log_softmax(logits / temperature))
+    for draw in range(8):
+        ours, theirs = np.random.default_rng([seed, draw]), np.random.default_rng([seed, draw])
+        assert _choose_token(logits, config, ours) == int(theirs.choice(len(probs), p=probs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [1, 17, 64, 200, 6626])
+@pytest.mark.parametrize("temperature", [0.3, 1.0, 2.5])
+def test_sampled_choice_on_cdf_boundaries_takes_the_exact_path(monkeypatch, size, temperature) -> None:
+    logits = np.random.default_rng(size).standard_normal(size)
+    logits[size // 3 : size // 2] = -1e9
+    cdf = np.cumsum(np.exp(log_softmax(logits / temperature)))
+    cdf /= cdf[-1]
+    steps = np.unique(cdf[cdf < 1.0])
+    picks = np.random.default_rng(0).choice(len(steps), size=min(len(steps), 40), replace=False)
+    draws = [0.0] + [u for c in steps[picks] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+    config = DecodeConfig(mode="sampled", temperature=temperature)
+    calls = _count_exact_draws(monkeypatch)
+    rng = SimpleNamespace(random=iter(draws).__next__)  # a Generator whose random() returns draws
+    for u in draws:
+        assert _choose_token(logits, config, rng) == _reference_draw(logits, temperature, u)
+    # u == 0 and every draw within an ulp of a CDF step are left to the exact path.
+    assert len(calls) == len(draws)
+
+
+def test_sampled_choice_rarely_needs_the_exact_path(monkeypatch) -> None:
+    calls = _count_exact_draws(monkeypatch)
+    logits = np.random.default_rng(5).standard_normal(6626)
+    config = DecodeConfig(mode="sampled")
+    rng = np.random.default_rng(6)
+    for _ in range(10_000):
+        _choose_token(logits, config, rng)
+    assert len(calls) <= 100
 
 
 def test_decode_gives_the_model_a_read_only_prefix() -> None:
@@ -788,6 +886,24 @@ def test_predictor_round_trip(tmp_path) -> None:
     assert loaded.vocab == VOCAB
     for key, value in params.arrays().items():
         np.testing.assert_array_equal(loaded.arrays()[key], value)
+
+
+@pytest.mark.parametrize(
+    "meta, field",
+    [
+        ({"text_size": 4.9, "speech_size": 12}, "meta.text_size"),
+        ({"text_size": "4", "speech_size": 12}, "meta.text_size"),
+        ({"speech_size": 12}, "meta.text_size"),
+        ({"text_size": 4, "speech_size": 12.0}, "meta.speech_size"),
+        ({"text_size": 4}, "meta.speech_size"),
+    ],
+)
+def test_predictor_load_rejects_bad_meta(tmp_path, meta, field) -> None:
+    params = init_predictor(VOCAB, fused_dim=4, rng=np.random.default_rng(103))
+    path = tmp_path / "predictor.tensors"
+    save_tensors(path, params.arrays(), meta=meta)
+    with pytest.raises(ValueError, match=field):
+        load_predictor(path)
 
 
 def test_pairs_round_trip(tmp_path) -> None:
