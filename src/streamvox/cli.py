@@ -11,6 +11,7 @@ validation failure, 2 invalid arguments, 3 missing input file.  Setting
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -171,9 +172,7 @@ def _parse_seed(seed) -> int:
 def _cmd_validate_config(args) -> int:
     config = records.read_json(args.config)
     violations = validate_config(config)
-    payload = {"schema": "config-check/v1", "ok": not violations, "violations": violations}
-    text = json.dumps(payload, indent=2, sort_keys=True) if args.pretty else records.dumps_canonical(payload)
-    print(text)
+    _emit(args, {"schema": "config-check/v1", "ok": not violations, "violations": violations})
     return 0 if not violations else 1
 
 
@@ -181,7 +180,10 @@ def _cmd_validate_config(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later
+    :func:`main` call in the process; callers must not mutate it."""
     parser = argparse.ArgumentParser(prog="streamvox", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -255,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

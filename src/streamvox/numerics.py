@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,13 +137,10 @@ class AdapterConfig:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    # min(x, -x) is -|x|, so exp stays <= 1; unlike -abs(x) it keeps a NaN's sign bit.
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def adapter_downsample(frames, group_size: int) -> np.ndarray:
@@ -431,20 +429,49 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a whole tensors-v1 file; a short or over-long payload raises."""
+    """Read a whole tensors-v1 file; a malformed header, or a short or
+    over-long payload, raises a ValueError."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _TENSOR_MAGIC:
             raise ValueError(f"not a tensors-v1 file: bad magic {magic!r}")
-        header = json.loads(fh.readline().decode("utf-8"))
-        tensors: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"truncated payload for tensor {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError("trailing bytes after the last tensor payload")
-    return tensors, header.get("meta", {})
+        shapes, meta = _parse_tensor_header(json.loads(fh.readline().decode("utf-8")))
+        payload = fh.read()
+    tensors: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in shapes.items():
+        end = offset + 8 * math.prod(shape)
+        if end > len(payload):
+            raise ValueError(f"truncated payload for tensor {name!r}")
+        tensors[name] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
+        offset = end
+    if offset != len(payload):
+        raise ValueError("trailing bytes after the last tensor payload")
+    return tensors, meta
+
+
+def _parse_tensor_header(header) -> tuple[dict[str, tuple[int, ...]], dict]:
+    """The header's tensor shapes by name, and its meta; errors name the field path."""
+    if not isinstance(header, dict):
+        raise ValueError(f"tensors-v1 header must be a JSON object, got {header!r}")
+    entries = header.get("tensors")
+    if not isinstance(entries, list):
+        raise ValueError(f"tensors must be a list, got {entries!r}")
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"tensors[{i}] must be an object, got {entry!r}")
+        with records.prefixed(f"tensors[{i}]."):
+            name = records.string("name", entry.get("name"))
+            if name in shapes:
+                raise ValueError(f"name {name!r} is not unique")
+            shape = entry.get("shape")
+            if not isinstance(shape, list) or not all(
+                isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= sys.maxsize for n in shape
+            ):
+                raise ValueError(f"shape must be a list of integers in [0, {sys.maxsize}], got {shape!r}")
+        shapes[name] = tuple(shape)
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta must be an object, got {meta!r}")
+    return shapes, meta

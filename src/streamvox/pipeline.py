@@ -326,25 +326,24 @@ def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline
     w = policy.write_block
     chunk_count = (m + w - 1) // w
 
-    def llm_ready(count: int) -> float:
-        return timings.llm.cost_ms(count)
-
     timeline = Timeline(scenario=scenario)
+    # Cumulative llm and tts costs through chunk j-1; count 0 is free.
+    llm_start = 0.0
+    tts_prev = 0.0
     tts_done = 0.0
     synth_done = {stage: 0.0 for stage in timings.synthesis_stages}
-    prev_reads = 0
     prev_tokens = 0
     for j in range(1, chunk_count + 1):
         token_end = min(j * w, m)
         chunk_tokens = token_end - prev_tokens
         reads_total = min(j * policy.read_block, n)
 
-        llm_start = llm_ready(prev_reads)
-        llm_finish = llm_ready(reads_total)
+        llm_finish = timings.llm.cost_ms(reads_total)
         if llm_finish < llm_start:
             raise ValueError("llm timing model is not non-decreasing in the token count")
 
-        tts_service = timings.tts.cost_ms(token_end) - timings.tts.cost_ms(prev_tokens)
+        tts_cost = timings.tts.cost_ms(token_end)
+        tts_service = tts_cost - tts_prev
         if tts_service < 0:
             raise ValueError("tts timing model is not non-decreasing in the token count")
         tts_start = max(llm_finish, tts_done)
@@ -373,7 +372,8 @@ def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline
                 stages=stages,
             )
         )
-        prev_reads = reads_total
+        llm_start = llm_finish
+        tts_prev = tts_cost
         prev_tokens = token_end
     timeline.validate()
     return timeline

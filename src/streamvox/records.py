@@ -55,9 +55,12 @@ def prefixed(prefix: str):
         raise RecordFormatError(f"{prefix}{exc}") from exc
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def write_json(path, obj) -> None:

@@ -710,9 +710,8 @@ def load_predictor(path) -> PredictorParams:
     """Read a :func:`save_predictor` file; a meta size that is missing or not
     an integer raises ``ValueError`` naming it."""
     tensors, meta = load_tensors(path)
-    fields = meta if isinstance(meta, Mapping) else {}
     with records.prefixed("meta."):
-        vocab = ExtendedVocab(text_size=fields.get("text_size"), speech_size=fields.get("speech_size"))
+        vocab = ExtendedVocab(text_size=meta.get("text_size"), speech_size=meta.get("speech_size"))
     return PredictorParams(vocab=vocab, **tensors)
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from streamvox import records
-from streamvox.cli import main, validate_config
+from streamvox.cli import OUT_DIR_ENV, build_parser, main, validate_config
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -318,6 +318,49 @@ def test_identical_invocations_produce_identical_bytes(tmp_path, capsys) -> None
         code, _, _ = run(capsys, "datagen", "--count", "8", "--seed", "11", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once() -> None:
+    assert build_parser() is build_parser()
+
+
+SHARED_PARSER_CALLS = {
+    "simulate": ["simulate", "--timing", "timing.json", "--R", "3", "--W", "10", "--n-text", "9",
+                 "--m-speech", "25", "--timeline", "timeline.jsonl"],
+    "datagen": ["datagen", "--count", "6", "--seed", "4"],
+    "eval": ["eval", "--wer", "wer.jsonl", "--rows-out", "rows.jsonl", "--out", "report.json"],
+    "calibrate": ["calibrate", "--points", "points.json", "--stage", "tts", "--pretty"],
+    "schedule": ["schedule", "--N", "7", "--M", "25", "--R", "3", "--W", "10", "--format", "records"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED_PARSER_CALLS))
+def test_repeated_in_process_calls_give_identical_bytes(tmp_path, capsys, monkeypatch, kind) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+    records.write_json("timing.json", _affine_doc("llm", "tts", "fm_voc"))
+    records.write_json("points.json", [[5, 85.43], [10, 165.83], [15, 246.23]])
+    records.write_jsonl("wer.jsonl", [{"schema": "wer-item/v1", "reference": "a b c", "hypothesis": "a c d"}])
+    (tmp_path / "broken.json").write_text("[[1, 2.0],")
+    inputs = {p.name for p in tmp_path.iterdir()}
+    argv = SHARED_PARSER_CALLS[kind]
+
+    def call() -> tuple[str, dict]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir()) if p.name not in inputs}
+        for name in outputs:
+            (tmp_path / name).unlink()
+        return out, outputs
+
+    first = call()
+    assert bool(first[0]) == ("--out" not in argv)
+    assert sorted(first[1]) == sorted(a for a in argv if a in ("timeline.jsonl", "rows.jsonl", "report.json"))
+    assert run(capsys, *argv, "--frobnicate")[:2] == (2, "")
+    code, out, err = run(capsys, "calibrate", "--points", "broken.json")
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert {p.name for p in tmp_path.iterdir()} == inputs
+    assert call() == first
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path, capsys) -> None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +50,32 @@ def random_ffn(rng: np.random.Generator, in_dim: int, hidden: int, out: int) -> 
 
 # ---------------------------------------------------------------------------
 # adapter downsampling
+
+
+def two_branch_sigmoid(x) -> np.ndarray:
+    """The sigmoid as two boolean-masked branches, each exp argument <= 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_two_branch_form_bit_for_bit() -> None:
+    rng = np.random.default_rng(41)
+    special = [0.0, -0.0, 710.0, -710.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+    nan_payload = np.array([0x7FF8000000000001, 0xFFF8000000000123], dtype=np.uint64).view(float)
+    cases = [np.array(special), nan_payload, np.float64(np.nan), np.float64(-3.5)]
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 100.0, 800.0):
+        for shape in ((1,), (7,), (3, 17), (2, 2, 64)):
+            cases.append(rng.standard_normal(shape) * scale)
+    cases.append(rng.permutation(np.concatenate([special, rng.standard_normal(1000) * 50.0])))
+    for x in cases:
+        got, want = sigmoid(x), two_branch_sigmoid(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_downsample_shapes() -> None:
@@ -525,6 +553,62 @@ def test_tensor_file_save_is_write_then_rename(tmp_path, monkeypatch) -> None:
         save_tensors(path, {"bias": np.arange(5.0)})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["params.tensors"]
+
+
+def write_tensor_file(path, header, payload: bytes = b"") -> None:
+    """A tensors-v1 file with a hand-written header (any JSON value)."""
+    path.write_bytes(b"#tensors-v1\n" + json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+ONE = np.arange(2.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        # headers that ended in KeyError or TypeError before they were parsed
+        ({"meta": {}}, "tensors must be a list, got None"),
+        ({"tensors": [{"name": "bias"}]}, r"tensors\[0\]\.shape must be a list of integers"),
+        ([{"name": "bias", "shape": [2]}], "header must be a JSON object"),
+        # one malformed field each
+        ("tensors", "header must be a JSON object"),
+        ({"tensors": {"name": "bias", "shape": [2]}}, "tensors must be a list"),
+        ({"tensors": [["bias", [2]]]}, r"tensors\[0\] must be an object"),
+        ({"tensors": [{"shape": [2]}]}, r"tensors\[0\]\.name must be a string, got None"),
+        ({"tensors": [{"name": 3, "shape": [2]}]}, r"tensors\[0\]\.name must be a string, got 3"),
+        ({"tensors": [{"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}]},
+         r"tensors\[1\]\.name 'a' is not unique"),
+        ({"tensors": [{"name": "bias", "shape": 2}]}, r"tensors\[0\]\.shape must be a list of integers"),
+        ({"tensors": [{"name": "bias", "shape": [True, 2]}]}, r"tensors\[0\]\.shape must be a list"),
+        ({"tensors": [{"name": "bias", "shape": [2.0]}]}, r"tensors\[0\]\.shape must be a list"),
+        ({"tensors": [{"name": "bias", "shape": ["2"]}]}, r"tensors\[0\]\.shape must be a list"),
+        ({"tensors": [{"name": "bias", "shape": [-2]}]}, r"tensors\[0\]\.shape must be a list"),
+        ({"tensors": [{"name": "bias", "shape": [0, sys.maxsize + 1]}]}, r"tensors\[0\]\.shape must be a list"),
+        ({"tensors": [{"name": "bias", "shape": [2]}], "meta": [1]}, r"meta must be an object, got \[1\]"),
+        ({"tensors": [{"name": "bias", "shape": [2]}], "meta": None}, "meta must be an object, got None"),
+    ],
+)
+def test_tensor_file_rejects_malformed_header(tmp_path, header, message) -> None:
+    path = tmp_path / "bad.tensors"
+    write_tensor_file(path, header, ONE)
+    with pytest.raises(ValueError, match=message):
+        load_tensors(path)
+
+
+def test_tensor_file_header_bounds(tmp_path) -> None:
+    path = tmp_path / "edge.tensors"
+    write_tensor_file(path, {"tensors": [{"name": "s", "shape": []}, {"name": "e", "shape": [0, 3]},
+                                         {"name": "v", "shape": [1]}]}, ONE)
+    tensors, meta = load_tensors(path)
+    assert meta == {}
+    assert tensors["s"].shape == () and tensors["e"].shape == (0, 3) and tensors["v"].tolist() == [1.0]
+    # The largest dimension the header admits still fails on the payload, not on arithmetic.
+    write_tensor_file(path, {"tensors": [{"name": "w", "shape": [sys.maxsize, sys.maxsize]}]}, ONE)
+    with pytest.raises(ValueError, match="truncated payload for tensor 'w'"):
+        load_tensors(path)
+    write_tensor_file(path, {"tensors": [{"name": "w", "shape": [2]}]}, ONE[:8])
+    with pytest.raises(ValueError, match="truncated payload for tensor 'w'"):
+        load_tensors(path)
 
 
 def test_tensor_file_rejects_bad_magic(tmp_path) -> None:

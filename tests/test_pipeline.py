@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamvox.pipeline import (
     DEFAULT_SAMPLE_RATE,
     FIRST_CHUNK_MEASUREMENTS,
+    STAGES,
     STAGE_FM,
     STAGE_FM_VOC,
     STAGE_LLM,
     STAGE_TTS,
     STAGE_VOC,
     TIMING_SCALES,
+    ChunkTiming,
     LatencyRow,
     ScenarioConfig,
     StageTimingModel,
     StageTimings,
+    Timeline,
     calibrate_affine,
     calibration_points,
     first_chunk_latency,
@@ -253,6 +260,153 @@ def test_increasing_stage_costs_never_speeds_up_chunks() -> None:
         bumped = affine_timings(*bumped_rates, intercepts=tuple(bumped_intercepts))
         after = [c.finish_ms for c in simulate_stream(scenario, bumped).chunks]
         assert all(a >= b - 1e-9 for a, b in zip(after, before))
+
+
+def reference_simulate(scenario: ScenarioConfig, timings: StageTimings) -> list[dict]:
+    """The simulator loop that evaluates both cumulative llm and tts costs,
+    through chunk j-1 and through chunk j, at every chunk."""
+    policy = scenario.policy
+    n, m = scenario.n_text, scenario.m_speech
+    w = policy.write_block
+    chunk_count = (m + w - 1) // w
+
+    def llm_ready(count: int) -> float:
+        return timings.llm.cost_ms(count)
+
+    timeline = Timeline(scenario=scenario)
+    tts_done = 0.0
+    synth_done = {stage: 0.0 for stage in timings.synthesis_stages}
+    prev_reads = 0
+    prev_tokens = 0
+    for j in range(1, chunk_count + 1):
+        token_end = min(j * w, m)
+        chunk_tokens = token_end - prev_tokens
+        reads_total = min(j * policy.read_block, n)
+
+        llm_start = llm_ready(prev_reads)
+        llm_finish = llm_ready(reads_total)
+        if llm_finish < llm_start:
+            raise ValueError("llm timing model is not non-decreasing in the token count")
+
+        tts_service = timings.tts.cost_ms(token_end) - timings.tts.cost_ms(prev_tokens)
+        if tts_service < 0:
+            raise ValueError("tts timing model is not non-decreasing in the token count")
+        tts_start = max(llm_finish, tts_done)
+        tts_done = tts_start + tts_service
+
+        stages = {STAGE_LLM: (llm_start, llm_finish), STAGE_TTS: (tts_start, tts_done)}
+        upstream = tts_done
+        if timings.fm_voc is not None:
+            start = max(upstream, synth_done[STAGE_FM_VOC])
+            synth_done[STAGE_FM_VOC] = start + timings.fm_voc.cost_ms(chunk_tokens)
+            stages[STAGE_FM_VOC] = (start, synth_done[STAGE_FM_VOC])
+        else:
+            fm_start = max(upstream, synth_done[STAGE_FM])
+            synth_done[STAGE_FM] = fm_start + timings.fm.cost_ms(chunk_tokens)
+            stages[STAGE_FM] = (fm_start, synth_done[STAGE_FM])
+            voc_start = max(synth_done[STAGE_FM], synth_done[STAGE_VOC])
+            synth_done[STAGE_VOC] = voc_start + timings.voc.cost_ms(mel_frames(chunk_tokens))
+            stages[STAGE_VOC] = (voc_start, synth_done[STAGE_VOC])
+
+        timeline.chunks.append(ChunkTiming(j, prev_tokens + 1, token_end, reads_total, stages))
+        prev_reads = reads_total
+        prev_tokens = token_end
+    timeline.validate()
+    return timeline.to_records()
+
+
+@dataclass
+class CountingModel:
+    """A stage model that records every token count it is evaluated at."""
+
+    model: StageTimingModel
+    counts: list = field(default_factory=list)
+
+    def cost_ms(self, count: int) -> float:
+        self.counts.append(count)
+        return self.model.cost_ms(count)
+
+
+def counted(timings: StageTimings) -> StageTimings:
+    return StageTimings(**{s: CountingModel(getattr(timings, s)) for s in STAGES if getattr(timings, s) is not None})
+
+
+def outcome(simulate, scenario: ScenarioConfig, timings: StageTimings):
+    """Records, or the error raised; plus the last cumulative llm and tts
+    counts evaluated, which name the chunk an error came from."""
+    timings = counted(timings)
+    try:
+        result = simulate(scenario, timings)
+    except (ValueError, KeyError) as exc:
+        result = (type(exc), str(exc))
+    if isinstance(result, Timeline):
+        result = result.to_records()
+    return result, max(timings.llm.counts, default=0), max(timings.tts.counts, default=0)
+
+
+def lookup(stage: str, costs) -> StageTimingModel:
+    return StageTimingModel.lookup(stage, {c: float(v) for c, v in enumerate(costs, start=1)})
+
+
+@pytest.mark.parametrize(
+    "timings, policy, n_text, m_speech",
+    [
+        (affine_timings(llm=20.0, tts=8.0, fm=3.0, voc=0.5, intercepts=(150.0, 2.0, 40.0, 7.0)), (3, 10), 30, 100),
+        (StageTimings(llm=StageTimingModel.affine(STAGE_LLM, 164.3, 21.6),
+                      tts=StageTimingModel.affine(STAGE_TTS, 5.3, 16.05),
+                      fm_voc=StageTimingModel.affine(STAGE_FM_VOC, 180.0, 0.5)), (1, 5), 200, 1000),
+        (StageTimings(llm=lookup(STAGE_LLM, [5, 9, 9, 14, 30]), tts=lookup(STAGE_TTS, range(3, 40, 3)),
+                      fm_voc=lookup(STAGE_FM_VOC, range(10, 22))), (2, 3), 5, 12),
+        (StageTimings(llm=lookup(STAGE_LLM, [1, 2, 3, 4]), tts=lookup(STAGE_TTS, np.arange(11) ** 1.5),
+                      fm=lookup(STAGE_FM, [7] * 4), voc=lookup(STAGE_VOC, range(8))), (3, 4), 4, 10),
+        (affine_timings(llm=1.0, tts=1.0, fm=1.0, voc=1.0), (3, 4), 4, 10),  # partial chunk, reads run out
+        (affine_timings(llm=1.5, tts=0.25, fm=2.0, voc=0.125), (5, 7), 2, 20),  # reads run out at chunk 1
+    ],
+)
+def test_simulation_matches_reference_loop(timings, policy, n_text, m_speech) -> None:
+    scenario = ScenarioConfig(policy=SchedulePolicy(*policy), n_text=n_text, m_speech=m_speech)
+    expected = outcome(reference_simulate, scenario, timings)
+    assert isinstance(expected[0], list) and len(expected[0]) == -(-m_speech // policy[1])
+    assert outcome(simulate_stream, scenario, timings) == expected
+
+
+@pytest.mark.parametrize(
+    "llm, tts, m_speech, stage, chunk",
+    [
+        ([5, 9, 8, 14], range(1, 13), 12, "llm", 3),  # llm(3) < llm(2)
+        ([5, 9, 10, 14], [1, 2, 3, 4, 5, 6, 7, 8, 4, 10, 11, 12], 12, "tts", 3),  # tts(9) < tts(6)
+        ([5, 9, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0], 11, "tts", 4),  # the last, partial chunk
+    ],
+)
+def test_non_monotone_model_fails_at_the_same_chunk_as_the_reference(llm, tts, m_speech, stage, chunk) -> None:
+    timings = StageTimings(llm=lookup(STAGE_LLM, llm), tts=lookup(STAGE_TTS, tts),
+                           fm_voc=lookup(STAGE_FM_VOC, range(1, 4)))
+    scenario = ScenarioConfig(policy=SchedulePolicy(1, 3), n_text=4, m_speech=m_speech)
+    expected = outcome(reference_simulate, scenario, timings)
+    assert expected == ((ValueError, f"{stage} timing model is not non-decreasing in the token count"),
+                        chunk, min(3 * chunk, m_speech) if stage == "tts" else 3 * (chunk - 1))
+    assert outcome(simulate_stream, scenario, timings) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    w=st.integers(1, 5),
+    n_text=st.integers(1, 12),
+    m_speech=st.integers(1, 25),
+    separate=st.booleans(),
+    data=st.data(),
+)
+def test_simulation_matches_reference_loop_on_any_lookup_tables(r, w, n_text, m_speech, separate, data) -> None:
+    def table(stage: str, size: int) -> StageTimingModel:
+        costs = data.draw(st.lists(st.integers(0, 50), min_size=size, max_size=size), label=stage)
+        return lookup(stage, costs)
+
+    synthesis = {STAGE_FM: table(STAGE_FM, w), STAGE_VOC: table(STAGE_VOC, 2 * w)} if separate else {
+        STAGE_FM_VOC: table(STAGE_FM_VOC, w)}
+    timings = StageTimings(llm=table(STAGE_LLM, n_text), tts=table(STAGE_TTS, m_speech), **synthesis)
+    scenario = ScenarioConfig(policy=SchedulePolicy(r, w), n_text=n_text, m_speech=m_speech)
+    assert outcome(simulate_stream, scenario, timings) == outcome(reference_simulate, scenario, timings)
 
 
 def test_simulation_rejects_missing_lookup_entries() -> None:

@@ -205,3 +205,23 @@ def test_mutated_row_schema_is_rejected_by_the_reader(schema, bad, tmp_path) -> 
     records.write_jsonl(path, [valid(), {**valid(), "schema": bad}])
     with pytest.raises(records.RecordFormatError, match=r"line 2: schema .*, expected"):
         records.read_jsonl(path, schema=schema, parse=parse)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_canonical_text_is_sorted_compact_json(value) -> None:
+    assert records.dumps_canonical(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_canonical_text_of_special_values() -> None:
+    value = {"z": [math.nan, math.inf, -math.inf, -0.0], "é": "ü\u2028\ud800", "a": {"b": 1, "a": [{"y": 2, "x": 1}]}}
+    text = records.dumps_canonical(value)
+    assert text == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert text == '{"a":{"a":[{"x":1,"y":2}],"b":1},"z":[NaN,Infinity,-Infinity,-0.0],"\\u00e9":"\\u00fc\\u2028\\ud800"}'
