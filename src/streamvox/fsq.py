@@ -27,7 +27,6 @@ import numpy as np
 from . import records
 
 SPEECH_TOKENS_PER_SECOND = 25
-DEFAULT_CODEBOOK_SIZE = 6561  # 3 ** 8
 
 
 @dataclass(frozen=True)

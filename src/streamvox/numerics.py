@@ -1,6 +1,6 @@
-"""Dense numeric kernel: adapter downsampling, projection FFN, gate fusion,
-cross-entropy (loss terms and logit gradients from one log-softmax), SGD,
-and a finite-difference gradient checker.
+"""Dense numeric kernel: projection FFN, gate fusion, cross-entropy (loss
+terms and logit gradients from one log-softmax), SGD, and a finite-difference
+gradient checker.
 
 All math is double precision.  Leading axes are batch axes and a 1-D input
 is the one-row case: forward kernels give each row the bits it would get
@@ -119,19 +119,6 @@ class FfnParams:
         return self.w2.shape[-2]
 
 
-@dataclass
-class AdapterConfig:
-    """Frame-stacking speech adapter: concatenate every ``group_size``
-    consecutive frames, then project with ``ffn``."""
-
-    ffn: FfnParams
-    group_size: int = 5
-
-    def __post_init__(self) -> None:
-        if self.group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
-
-
 # ---------------------------------------------------------------------------
 # forward operations
 
@@ -143,34 +130,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def adapter_downsample(frames, group_size: int) -> np.ndarray:
-    """Concatenate every ``group_size`` consecutive frames along the feature
-    axis; frames beyond the last full group are dropped.
-
-    ``frames`` is a (T, f) array; the result has shape
-    (T // group_size, group_size * f).
-    """
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    if not isinstance(frames, np.ndarray) or frames.ndim != 2:
-        raise ValueError(f"frames must be a (T, f) array, got {getattr(frames, 'shape', type(frames).__name__)}")
-    total, width = frames.shape
-    groups = total // group_size
-    return frames.astype(float)[: groups * group_size].reshape(groups, group_size * width)
-
-
 def ffn_apply(params: FfnParams, x) -> np.ndarray:
     """affine -> tanh -> affine."""
     hidden = np.tanh(_affine(params.w1, _rows("x", x, params.in_dim), params.b1))
     return _affine(params.w2, hidden, params.b2)
-
-
-def apply_adapter(frames, config: AdapterConfig) -> np.ndarray:
-    """Downsample then project every stacked frame through the adapter FFN."""
-    stacked = adapter_downsample(frames, config.group_size)
-    if stacked.shape[0] == 0:
-        return np.zeros((0, config.ffn.out_dim))
-    return ffn_apply(config.ffn, stacked)
 
 
 def _gate(params: GateParams, e_hidden, e_emb) -> tuple[np.ndarray, ...]:
@@ -470,6 +433,9 @@ def _parse_tensor_header(header) -> tuple[dict[str, tuple[int, ...]], dict]:
                 isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= sys.maxsize for n in shape
             ):
                 raise ValueError(f"shape must be a list of integers in [0, {sys.maxsize}], got {shape!r}")
+            # numpy's own limit on any array, even an empty one
+            if 8 * math.prod(n for n in shape if n) > sys.maxsize:
+                raise ValueError(f"shape {shape!r} is too big: 8 bytes times its non-zero sizes exceeds {sys.maxsize}")
         shapes[name] = tuple(shape)
     meta = header.get("meta", {})
     if not isinstance(meta, dict):

@@ -31,6 +31,7 @@ demos and the regression tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -94,11 +95,15 @@ class StageTimingModel:
         if count == 0:
             return 0.0
         if self.points is not None:
-            for c, cost in self.points:
-                if c == count:
-                    return float(cost)
-            raise KeyError(f"stage {self.stage!r} lookup has no entry for count {count}")
+            if count not in self._costs:
+                raise KeyError(f"stage {self.stage!r} lookup has no entry for count {count}")
+            return self._costs[count]
         return float(self.intercept_ms + self.per_token_ms * count)
+
+    @cached_property
+    def _costs(self) -> dict[int, float]:
+        """The lookup table's cost by count."""
+        return {c: float(cost) for c, cost in self.points}
 
     def to_record(self) -> dict:
         record: dict = {"schema": "timing/v1", "stage": self.stage}

@@ -1,15 +1,16 @@
 """Toy autoregressive speech-token model driven by the read/write schedule.
 
 The real system this mirrors runs a pretrained decoder-only transformer over
-an extended vocabulary.  Here the predictor is pluggable: anything with a
-``vocab`` attribute and a ``logits(visible, prev_ids)`` method works, and the
+an extended vocabulary.  Here decoding is pluggable: anything with a ``vocab``
+attribute and a ``logits(visible, prev_ids)`` method can be decoded, and the
 bundled reference implementation is a small linear model over the feature
 ``[mean of visible fused representations ; embedding of previous token]``.
 What the module actually proves is schedule semantics: the masked
 interleaved loss conditions each speech token on exactly its visible prefix,
 decoding follows the read/write cadence, and all gradients are closed form.
-Training takes them in one pass per epoch over all samples' concatenated
-rows: one forward, one cross-entropy and one backward, with no padding.
+Loss terms, next-token accuracy and training (one forward, one cross-entropy
+and one backward per epoch) share one masked forward over all samples'
+concatenated rows, with no padding: the only place the schedule mask is applied.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ class ExtendedVocab:
             return kind, token_id - self.text_size
         return kind, 0
 
-    def text_token(self, local: int) -> int:
-        if not 0 <= local < self.text_size:
-            raise ValueError(f"text index {local} out of range [0, {self.text_size})")
-        return local
-
     def speech_token(self, local: int) -> int:
         if not 0 <= local < self.speech_size:
             raise ValueError(f"speech index {local} out of range [0, {self.speech_size})")
@@ -94,8 +90,10 @@ class ExtendedVocab:
 
 
 class Predictor(Protocol):
-    """Next-token scorer.  ``visible`` is the ``(v, d)`` visible prefix of
-    fused representations.
+    """Next-token scorer, taken only by :func:`decode_stream` and
+    :func:`predictive_distribution`; the masked loss, accuracy and gradients
+    take :class:`PredictorParams`.  ``visible`` is the ``(v, d)`` visible
+    prefix of fused representations.
 
     A predictor may also define ``session()``, returning a decode state with
     ``extend(row)``, which appends one fused row, and ``logits(prev_ids)``,
@@ -260,28 +258,42 @@ def _check_inputs(C, Y: Sequence[int], vocab: ExtendedVocab) -> np.ndarray:
     return C
 
 
-def _masked_logits(C, Y: Sequence[int], policy: SchedulePolicy, model: Predictor) -> np.ndarray:
-    """``(len(Y), V)`` logits; row ``i`` is the model's given ``Y[:i]`` and only
-    the ``training_mask`` prefix of ``C``, never a row past it."""
-    C = _check_inputs(C, Y, model.vocab)
-    logits = np.empty((len(Y), model.vocab.total_size))
+def _masked_forward(pairs: Sequence[tuple], policy: SchedulePolicy, params: PredictorParams) -> tuple:
+    """Every position of the ``(C, Y)`` pairs from one ``params.forward`` over
+    the pairs' concatenated rows, with no padding.  Each pair has its own
+    zero-led running sum ``csum``, so a position that sees ``v`` of its rows has
+    the mean ``csum[v] / v`` that a decode session of that pair takes, bit for
+    bit, whatever the other pairs hold.  Returns ``(targets, last, v, prev,
+    features, hidden, logits)``, one row per position; ``last`` is the index of
+    the position's last visible row among the concatenated rows."""
+    Cs = [_check_inputs(C, Y, params.vocab) for C, Y in pairs]
+    starts = np.cumsum([0, *(len(c) for c in Cs[:-1])])
+    pair = np.repeat(np.arange(len(Cs)), [len(Y) for _, Y in pairs])
+    v = np.array([u for c, (_, Y) in zip(Cs, pairs) for u in training_mask(len(c), len(Y), policy)], dtype=int)
+    prev = np.array([t for _, Y in pairs for t in [params.start_row, *Y][: len(Y)]], dtype=int)
+    # Pair i's sums are rows starts[i] + i onward: one leading zero row per pair.
+    csum = np.concatenate([np.cumsum(np.concatenate([np.zeros((1, c.shape[1])), c]), axis=0) for c in Cs])
+    last = starts[pair] + v - 1
+    features, hidden, logits = params.forward(csum[last + pair + 1] / v[:, None], prev)
+    targets = np.array([t for _, Y in pairs for t in Y], dtype=int)
+    return targets, last, v, prev, features, hidden, logits
+
+
+def _finite_logits(pairs: Sequence[tuple], policy: SchedulePolicy, params: PredictorParams) -> tuple:
+    """``(logits, targets)`` of :func:`_masked_forward`; non-finite logits raise
+    ``ValueError``, so numpy's warnings are off."""
     with np.errstate(all="ignore"):  # a non-finite row is rejected below
-        for i, v in enumerate(training_mask(C.shape[0], len(Y), policy)):
-            logits[i] = model.logits(C[:v], Y[:i])
+        targets, *_, logits = _masked_forward(pairs, policy, params)
     if not np.isfinite(logits).all():
         raise ValueError("model logits are not finite")
-    return logits
+    return logits, targets
 
 
 def interleaved_loss_terms(
-    C, Y: Sequence[int], policy: SchedulePolicy, model: Predictor
+    C, Y: Sequence[int], policy: SchedulePolicy, params: PredictorParams
 ) -> np.ndarray:
     """Per-position negative log probabilities under the schedule mask."""
-    return cross_entropy(_masked_logits(C, Y, policy, model), np.asarray(Y, dtype=int))
-
-
-def interleaved_loss(C, Y: Sequence[int], policy: SchedulePolicy, model: Predictor) -> float:
-    return float(interleaved_loss_terms(C, Y, policy, model).sum())
+    return cross_entropy(*_finite_logits([(C, Y)], policy, params))
 
 
 def predictive_distribution(
@@ -297,22 +309,11 @@ def interleaved_loss_and_grads(
     pairs: Sequence[tuple], policy: SchedulePolicy, params: PredictorParams
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Loss summed over the ``(C, Y)`` pairs, its parameter gradients, and its
-    gradient w.r.t. every ``C`` (concatenated in pair order), from one
-    ``params.forward`` over the pairs' concatenated rows, with no padding.  Each
-    pair has its own zero-led running sum ``csum``, so a position that sees ``v``
-    of its rows has the mean ``csum[v] / v`` that a decode session of that pair
-    takes, bit for bit, whatever the other pairs hold."""
-    Cs = [_check_inputs(C, Y, params.vocab) for C, Y in pairs]
-    sizes = [len(c) for c in Cs]
-    starts = np.cumsum([0, *sizes[:-1]])
-    pair = np.repeat(np.arange(len(Cs)), [len(Y) for _, Y in pairs])
-    v = np.array([u for c, (_, Y) in zip(Cs, pairs) for u in training_mask(len(c), len(Y), policy)], dtype=int)
-    prev = np.array([t for _, Y in pairs for t in [params.start_row, *Y][: len(Y)]], dtype=int)
-    # Pair i's sums are rows starts[i] + i onward: one leading zero row per pair.
-    csum = np.concatenate([np.cumsum(np.concatenate([np.zeros((1, c.shape[1])), c]), axis=0) for c in Cs])
-    d = csum.shape[1]
-    features, hidden, logits = params.forward(csum[starts[pair] + pair + v] / v[:, None], prev)
-    terms, d_logits = cross_entropy_and_grads(logits, np.array([t for _, Y in pairs for t in Y], dtype=int))
+    gradient w.r.t. every ``C`` (concatenated in pair order), from the one
+    :func:`_masked_forward` and one backward pass."""
+    targets, last, v, prev, features, hidden, logits = _masked_forward(pairs, policy, params)
+    terms, d_logits = cross_entropy_and_grads(logits, targets)
+    d = params.fused_dim
     d_hidden = d_logits @ params.out_weight
     d_features = d_hidden @ params.feat_weight
     grads = {
@@ -326,9 +327,10 @@ def interleaved_loss_and_grads(
     # Scatter each mean's d_mean / v at its last row; a reverse running sum over
     # each pair hands every row its share of each mean at or after it and leaves
     # rows no position sees exactly zero.
+    sizes = [len(C) for C, _ in pairs]
     d_sums = np.zeros((sum(sizes), d))
-    np.add.at(d_sums, starts[pair] + v - 1, d_features[:, :d] / v[:, None])
-    d_C = np.concatenate([np.cumsum(g[::-1], axis=0)[::-1] for g in np.split(d_sums, starts[1:])])
+    np.add.at(d_sums, last, d_features[:, :d] / v[:, None])
+    d_C = np.concatenate([np.cumsum(g[::-1], axis=0)[::-1] for g in np.split(d_sums, np.cumsum(sizes)[:-1])])
     return float(terms.sum()), grads, d_C
 
 
@@ -602,16 +604,14 @@ def _descend(arrays: dict, loss_and_grads, samples: int, epochs: int, lr: float)
 
 
 def next_token_accuracy(
-    dataset: Sequence[tuple], policy: SchedulePolicy, model: Predictor
+    dataset: Sequence[tuple], policy: SchedulePolicy, params: PredictorParams
 ) -> float:
-    """Fraction of positions where the model's argmax equals the target."""
-    hits = total = 0
-    for C, Y in dataset:
-        hits += int((_masked_logits(C, Y, policy, model).argmax(axis=-1) == np.asarray(Y)).sum())
-        total += len(Y)
-    if total == 0:
+    """Fraction of positions where the argmax of the logits equals the target,
+    over the whole dataset from one :func:`_masked_forward`."""
+    if not any(len(Y) for _, Y in dataset):
         raise ValueError("dataset has no positions to score")
-    return hits / total
+    logits, targets = _finite_logits(dataset, policy, params)
+    return int((logits.argmax(axis=-1) == targets).sum()) / len(targets)
 
 
 def copy_task_dataset(

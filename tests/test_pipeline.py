@@ -54,7 +54,7 @@ def test_lookup_and_affine_evaluation() -> None:
     lookup = StageTimingModel.lookup(STAGE_TTS, {10: 165.83, 5: 85.43})
     assert lookup.cost_ms(10) == 165.83
     assert lookup.cost_ms(0) == 0.0
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="stage 'tts' lookup has no entry for count 7"):
         lookup.cost_ms(7)
     affine = StageTimingModel.affine(STAGE_LLM, 164.3, 21.6)
     assert affine.cost_ms(3) == pytest.approx(164.3 + 3 * 21.6)

@@ -30,7 +30,6 @@ from streamvox.ttslm import (
     fused_loss_and_grads,
     fused_representations,
     init_predictor,
-    interleaved_loss,
     interleaved_loss_and_grads,
     interleaved_loss_terms,
     load_pairs,
@@ -65,7 +64,7 @@ def test_vocab_split_is_bijective() -> None:
         kind, local = VOCAB.split(token)
         seen.add((kind, local))
         if kind == "text":
-            assert VOCAB.text_token(local) == token
+            assert local == token
         elif kind == "speech":
             assert VOCAB.speech_token(local) == token
     assert len(seen) == VOCAB.total_size
@@ -105,15 +104,6 @@ def test_vocab_rejects_non_integer_sizes(sizes, field) -> None:
 
 
 @dataclass
-class UniformModel:
-    vocab: ExtendedVocab
-
-    def logits(self, visible, prev_ids):
-        assert visible.shape[0] >= 1
-        return np.zeros(self.vocab.total_size)
-
-
-@dataclass
 class EosModel:
     vocab: ExtendedVocab
 
@@ -142,19 +132,25 @@ class SpeechOnlyModel:
 
 def test_uniform_model_loss_is_m_log_v() -> None:
     policy = SchedulePolicy(2, 3)
-    C = np.random.default_rng(0).standard_normal((5, 4))
+    rng = np.random.default_rng(0)
+    params = init_predictor(VOCAB, fused_dim=4, rng=rng)
+    # Zero output maps give uniform logits whatever the features hold.
+    zeros = {"out_weight": np.zeros_like(params.out_weight), "out_bias": np.zeros_like(params.out_bias)}
+    params = params.replace({**params.arrays(), **zeros})
+    C = rng.standard_normal((5, 4))
     Y = [VOCAB.speech_token(i % 12) for i in range(7)]
-    loss = interleaved_loss(C, Y, policy, UniformModel(VOCAB))
+    loss = interleaved_loss_terms(C, Y, policy, params).sum()
     assert loss == pytest.approx(7 * math.log(VOCAB.total_size), rel=1e-12)
 
 
 def test_loss_rejects_text_tokens_and_empty_inputs() -> None:
     policy = SchedulePolicy(1, 1)
+    params = init_predictor(VOCAB, fused_dim=4)
     C = np.zeros((3, 4))
     with pytest.raises(ValueError, match="text-kind"):
-        interleaved_loss(C, [VOCAB.text_token(0)], policy, UniformModel(VOCAB))
+        interleaved_loss_terms(C, [0], policy, params)  # text id 0
     with pytest.raises(ValueError):
-        interleaved_loss(np.zeros((0, 4)), [], policy, UniformModel(VOCAB))
+        interleaved_loss_terms(np.zeros((0, 4)), [], policy, params)
 
 
 def test_perturbing_hidden_future_leaves_terms_bit_identical() -> None:
@@ -189,7 +185,7 @@ def test_loss_matches_bruteforce_per_position_sum() -> None:
         v = min(((i - 1) // 3 + 1) * 2, 4)
         logits = params.logits(C[:v], Y[: i - 1])
         expected += -math.log(softmax(logits)[Y[i - 1]])
-    assert interleaved_loss(C, Y, policy, params) == pytest.approx(expected, rel=1e-12)
+    assert interleaved_loss_terms(C, Y, policy, params).sum() == pytest.approx(expected, rel=1e-12)
 
 
 def test_predictive_distribution_normalizes() -> None:
@@ -209,11 +205,69 @@ def test_non_finite_fused_rows_are_rejected(bad: float) -> None:
     C[0, 0] = bad
     Y = [VOCAB.speech_token(int(rng.integers(12))) for _ in range(3)]
     with pytest.raises(ValueError, match="not finite"):
-        interleaved_loss(C, Y, policy, params)
+        interleaved_loss_terms(C, Y, policy, params)
     with pytest.raises(ValueError, match="not finite"):
         next_token_accuracy([(C, Y)], policy, params)
     with pytest.raises(ValueError, match="not finite"):
         predictive_distribution(C, Y[:1], 2, policy, params)
+
+
+def _per_position_logits(C, Y, policy, params) -> np.ndarray:
+    """Reference: one ``params.logits`` call per position, on its visible prefix."""
+    rows = [params.logits(C[: visible_prefix(i, len(C), policy)], Y[: i - 1]) for i in range(1, len(Y) + 1)]
+    return np.array(rows).reshape(len(Y), VOCAB.total_size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    R=st.integers(1, 4),
+    W=st.integers(1, 4),
+    lengths=st.lists(st.tuples(st.integers(1, 9), st.integers(0, 12)), min_size=1, max_size=4),
+    empty_at=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masked_forward_matches_per_position_logits(R, W, lengths, empty_at, seed) -> None:
+    rng = np.random.default_rng(seed)
+    policy = SchedulePolicy(R, W)
+    params = init_predictor(VOCAB, fused_dim=3, emb_dim=2, hidden_dim=4, rng=rng)
+    params = params.replace({**params.arrays(), "out_bias": rng.standard_normal(17)})
+    tokens = [VOCAB.speech_token(k) for k in range(3)] + [VOCAB.eos_id]
+    pairs = [(rng.standard_normal((n, 3)), [int(t) for t in rng.choice(tokens, m)]) for n, m in lengths]
+    pairs.insert(min(empty_at, len(pairs)), (rng.standard_normal((2, 3)), []))  # a pair with no targets
+    hits = positions = 0
+    for C, Y in pairs:
+        ref = _per_position_logits(C, Y, policy, params)
+        targets = np.asarray(Y, dtype=int)
+        np.testing.assert_allclose(interleaved_loss_terms(C, Y, policy, params), cross_entropy(ref, targets), rtol=1e-12)
+        hits += int((ref.argmax(axis=-1) == targets).sum())
+        positions += len(Y)
+    if positions:
+        assert next_token_accuracy(pairs, policy, params) == hits / positions
+
+
+def test_accuracy_needs_positions_to_score() -> None:
+    params = init_predictor(VOCAB, fused_dim=3)
+    policy = SchedulePolicy(1, 1)
+    with pytest.raises(ValueError, match="no positions to score"):
+        next_token_accuracy([], policy, params)
+    with pytest.raises(ValueError, match="no positions to score"):
+        next_token_accuracy([(np.zeros((2, 3)), []), (np.ones((1, 3)), [])], policy, params)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_logits_are_rejected_without_warnings() -> None:
+    rng = np.random.default_rng(101)
+    policy = SchedulePolicy(2, 2)
+    params = init_predictor(VOCAB, fused_dim=3, rng=rng)
+    # The output matmul overflows; numpy would warn outside the masked paths.
+    huge = {"feat_bias": np.ones(16), "out_weight": np.full_like(params.out_weight, 1e308)}
+    params = params.replace({**params.arrays(), **huge})
+    C = rng.standard_normal((4, 3))
+    Y = [VOCAB.speech_token(k) for k in range(5)]
+    with pytest.raises(ValueError, match="model logits are not finite"):
+        interleaved_loss_terms(C, Y, policy, params)
+    with pytest.raises(ValueError, match="model logits are not finite"):
+        next_token_accuracy([(C, Y)], policy, params)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +367,8 @@ def test_batched_gradients_match_per_position_loop(R, W, lengths, alphabet, size
     loss, grads, d_C = interleaved_loss_and_grads(pairs, policy, params)
     refs = [_looped_loss_and_grads(C, Y, policy, params) for C, Y in pairs]
     assert loss == pytest.approx(sum(r[0] for r in refs), rel=1e-12, abs=1e-300)
-    assert loss == pytest.approx(sum(interleaved_loss(*p, policy, params) for p in pairs), rel=1e-12, abs=1e-300)
+    terms = sum(interleaved_loss_terms(*p, policy, params).sum() for p in pairs)
+    assert loss == pytest.approx(terms, rel=1e-12, abs=1e-300)
     assert sorted(grads) == sorted(refs[0][1])
     for key in grads:
         ref = sum(r[1][key] for r in refs)
@@ -421,7 +476,7 @@ def test_decode_rejects_text_emitting_model() -> None:
 
         def logits(self, visible, prev_ids):
             out = np.zeros(self.vocab.total_size)
-            out[self.vocab.text_token(0)] = 10.0
+            out[0] = 10.0  # text id 0
             return out
 
     with pytest.raises(ValueError, match="text-kind"):
@@ -769,7 +824,7 @@ def _fused_setup(rng: np.random.Generator):
     gate = GateParams(0.4 * rng.standard_normal((d, 2 * d)), 0.1 * rng.standard_normal(d))
     params = init_predictor(VOCAB, fused_dim=d, emb_dim=d, hidden_dim=5, rng=rng)
     hidden_states = rng.standard_normal((4, 6))
-    text_ids = [VOCAB.text_token(int(rng.integers(4))) for _ in range(4)]
+    text_ids = [int(rng.integers(4)) for _ in range(4)]  # a text id is its own local index
     Y = [VOCAB.speech_token(int(rng.integers(12))) for _ in range(5)]
     return ffn, gate, params, hidden_states, text_ids, Y
 
@@ -814,7 +869,7 @@ def test_fused_gradients_over_samples_match_per_sample_loop(lengths, R, W, seed)
     samples = [
         (
             rng.standard_normal((n, 6)),
-            [VOCAB.text_token(int(t)) for t in rng.integers(2, size=n)],  # text ids repeat
+            [int(t) for t in rng.integers(2, size=n)],  # text ids repeat
             [VOCAB.speech_token(int(t)) for t in rng.integers(3, size=m)],
         )
         for n, m in lengths
