@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
         timeline = pipeline.simulate_stream(scenario, timings)
     _emit(args, breakdown.to_record())
     if timeline is not None:
-        records.write_jsonl(_resolve_out(args.timeline), timeline.to_records())
+        records.write_jsonl(_resolve_out(args.timeline), timeline.chunks, encode=pipeline.chunk_line)
     return 0
 
 

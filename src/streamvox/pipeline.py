@@ -30,6 +30,7 @@ demos and the regression tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -245,7 +246,7 @@ class LatencyBreakdown:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChunkTiming:
     index: int
     token_start: int
@@ -256,6 +257,16 @@ class ChunkTiming:
     @property
     def finish_ms(self) -> float:
         return max(finish for _, finish in self.stages.values())
+
+
+def chunk_line(chunk: ChunkTiming) -> str:
+    """The chunk's ``timeline-chunk/v1`` record as ``records.dumps_canonical``
+    writes it: keys and stage names sorted, numbers by ``repr``, which is the
+    JSON text of every int and finite float (:meth:`Timeline.validate`
+    rejects non-finite times)."""
+    stages = ",".join([f'"{s}":[{start!r},{finish!r}]' for s, (start, finish) in sorted(chunk.stages.items())])
+    return (f'{{"chunk":{chunk.index!r},"reads_total":{chunk.reads_total!r},"schema":"timeline-chunk/v1",'
+            f'"stages":{{{stages}}},"token_end":{chunk.token_end!r},"token_start":{chunk.token_start!r}}}')
 
 
 @dataclass
@@ -270,18 +281,23 @@ class Timeline:
         return self.chunks[0].finish_ms
 
     def validate(self) -> None:
-        """Check ordering invariants: stages run forward within a chunk, and
-        within a stage chunk j never starts before chunk j-1 finishes."""
+        """Check ordering invariants: stages run forward within a chunk, every
+        time is finite, and within a stage chunk j never starts before chunk
+        j-1 finishes.  Every chunk's own checks run before the checks across
+        chunks."""
+        keys = order = None
         for chunk in self.chunks:
-            order = [s for s in (STAGE_LLM, STAGE_TTS, STAGE_FM, STAGE_VOC, STAGE_FM_VOC) if s in chunk.stages]
+            stages = chunk.stages
+            if stages.keys() != keys:
+                keys, order = stages.keys(), [s for s in STAGES if s in stages]
             for prev, cur in zip(order, order[1:]):
-                if chunk.stages[cur][0] < chunk.stages[prev][1]:
-                    raise ValueError(
-                        f"chunk {chunk.index}: stage {cur} starts before {prev} finishes"
-                    )
-            for stage, (start, finish) in chunk.stages.items():
-                if finish < start:
-                    raise ValueError(f"chunk {chunk.index}: stage {stage} finishes before it starts")
+                if stages[cur][0] < stages[prev][1]:
+                    raise ValueError(f"chunk {chunk.index}: stage {cur} starts before {prev} finishes")
+            for stage, (start, finish) in stages.items():
+                if not -math.inf < start <= finish < math.inf:
+                    if math.isfinite(start) and math.isfinite(finish):
+                        raise ValueError(f"chunk {chunk.index}: stage {stage} finishes before it starts")
+                    raise ValueError(f"chunk {chunk.index}: stage {stage} time is not finite ({start!r}, {finish!r})")
         for prev, cur in zip(self.chunks, self.chunks[1:]):
             for stage in cur.stages:
                 if stage in prev.stages and cur.stages[stage][0] < prev.stages[stage][1]:
@@ -289,30 +305,21 @@ class Timeline:
                         f"stage {stage}: chunk {cur.index} starts before chunk {prev.index} finishes"
                     )
 
-    def to_records(self) -> list[dict]:
-        return [
-            {
-                "schema": "timeline-chunk/v1",
-                "chunk": c.index,
-                "token_start": c.token_start,
-                "token_end": c.token_end,
-                "reads_total": c.reads_total,
-                "stages": {s: [start, finish] for s, (start, finish) in c.stages.items()},
-            }
-            for c in self.chunks
-        ]
-
 
 def first_chunk_latency(timings: StageTimings, policy: SchedulePolicy) -> LatencyBreakdown:
-    """Additive first-chunk latency: llm(R) + tts(W) + synthesis(W)."""
+    """Additive first-chunk latency: llm(R) + tts(W) + synthesis(W); a total
+    that overflows the float range raises ``ValueError``."""
     llm = timings.llm.cost_ms(policy.read_block)
     tts = timings.tts.cost_ms(policy.write_block)
     synth, fm, voc = timings.synthesis_cost_ms(policy.write_block)
+    total = llm + tts + synth
+    if not math.isfinite(total):
+        raise ValueError(f"first-chunk latency is not finite: llm {llm!r} + tts {tts!r} + synthesis {synth!r} ms")
     return LatencyBreakdown(
         llm_ms=llm,
         tts_ms=tts,
         fm_voc_ms=synth,
-        total_ms=llm + tts + synth,
+        total_ms=total,
         fm_ms=fm,
         voc_ms=voc,
     )

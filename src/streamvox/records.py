@@ -73,9 +73,9 @@ def read_json(path) -> dict:
         return json.load(fh)
 
 
-def write_jsonl(path, rows: Iterable[dict]) -> None:
-    """Write records as one JSON object per line, atomically."""
-    text = "".join(dumps_canonical(row) + "\n" for row in rows)
+def write_jsonl(path, rows: Iterable, encode: Callable[..., str] = dumps_canonical) -> None:
+    """Write rows as one JSON object per line, ``encode(row)``, atomically."""
+    text = "".join([encode(row) + "\n" for row in rows])
     _atomic_write(path, text)
 
 

@@ -266,6 +266,8 @@ def _masked_forward(pairs: Sequence[tuple], policy: SchedulePolicy, params: Pred
     bit, whatever the other pairs hold.  Returns ``(targets, last, v, prev,
     features, hidden, logits)``, one row per position; ``last`` is the index of
     the position's last visible row among the concatenated rows."""
+    if not pairs:
+        raise ValueError("dataset is empty")
     Cs = [_check_inputs(C, Y, params.vocab) for C, Y in pairs]
     starts = np.cumsum([0, *(len(c) for c in Cs[:-1])])
     pair = np.repeat(np.arange(len(Cs)), [len(Y) for _, Y in pairs])
@@ -280,12 +282,16 @@ def _masked_forward(pairs: Sequence[tuple], policy: SchedulePolicy, params: Pred
 
 
 def _finite_logits(pairs: Sequence[tuple], policy: SchedulePolicy, params: PredictorParams) -> tuple:
-    """``(logits, targets)`` of :func:`_masked_forward`; non-finite logits raise
-    ``ValueError``, so numpy's warnings are off."""
-    with np.errstate(all="ignore"):  # a non-finite row is rejected below
+    """``(logits, targets)`` of :func:`_masked_forward`; non-finite logits, or a
+    row whose max - min is not finite, raise ``ValueError``, so numpy's
+    warnings are off."""
+    with np.errstate(all="ignore"):  # a non-finite row or range is rejected below
         targets, *_, logits = _masked_forward(pairs, policy, params)
+        ranges = logits.max(axis=-1) - logits.min(axis=-1)
     if not np.isfinite(logits).all():
         raise ValueError("model logits are not finite")
+    if not np.isfinite(ranges).all():
+        raise ValueError("model logits span more than the float range")
     return logits, targets
 
 
@@ -659,6 +665,8 @@ def fused_loss_and_grads(
     every sample's rows.  The source hidden states are frozen inputs.  Text
     embeddings reuse the predictor's token table, so that table accumulates
     gradient from both the fusion path and the previous-token path."""
+    if not samples:
+        raise ValueError("dataset is empty")
     sizes = [len(h) for h, _, _ in samples]
     if sizes != [len(ids) for _, ids, _ in samples]:
         raise ValueError("every sample needs one text id per hidden state")

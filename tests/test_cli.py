@@ -78,6 +78,28 @@ def test_failed_timeline_writes_nothing(tmp_path, capsys) -> None:
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "per_token_ms, counts, message",
+    [
+        # the first chunk's total overflows
+        (1e308, "3", "error: first-chunk latency is not finite: llm 1e+308 + tts 1e+308 + synthesis 2.0 ms\n"),
+        # the first chunk is finite; chunk 17's tts finish is not
+        (1e307, "30", "error: chunk 17: stage tts time is not finite (1.7000000000000001e+308, inf)\n"),
+    ],
+)
+def test_overflowing_costs_exit_1_and_write_nothing(tmp_path, capsys, per_token_ms, counts, message) -> None:
+    timing = tmp_path / "timing.json"
+    records.write_json(timing, {"stages": [
+        {"schema": "timing/v1", "stage": "llm", "form": "affine", "intercept_ms": 1.0, "per_token_ms": per_token_ms},
+        {"schema": "timing/v1", "stage": "tts", "form": "affine", "intercept_ms": 1.0, "per_token_ms": per_token_ms},
+        {"schema": "timing/v1", "stage": "fm_voc", "form": "affine", "intercept_ms": 1.0, "per_token_ms": 1.0},
+    ]})
+    code, out, err = run(capsys, "simulate", "--timing", str(timing), "--R", "1", "--W", "1", "--n-text", counts,
+                         "--m-speech", counts, "--timeline", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "o.json"))
+    assert (code, out, err) == (1, "", message)
+    assert list(tmp_path.iterdir()) == [timing]
+
+
 def test_simulate_rejects_non_object_timing_record(tmp_path, capsys) -> None:
     path = tmp_path / "timing.json"
     records.write_json(path, {"stages": [5]})

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamvox.pipeline import (
@@ -25,6 +27,7 @@ from streamvox.pipeline import (
     Timeline,
     calibrate_affine,
     calibration_points,
+    chunk_line,
     first_chunk_latency,
     mel_frames,
     read_write_sweep,
@@ -34,6 +37,7 @@ from streamvox.pipeline import (
     simulate_stream,
     timing_preset,
 )
+from streamvox.records import dumps_canonical
 from streamvox.schedule import SchedulePolicy
 
 
@@ -262,7 +266,19 @@ def test_increasing_stage_costs_never_speeds_up_chunks() -> None:
         assert all(a >= b - 1e-9 for a, b in zip(after, before))
 
 
-def reference_simulate(scenario: ScenarioConfig, timings: StageTimings) -> list[dict]:
+def chunk_record(chunk: ChunkTiming) -> dict:
+    """The ``timeline-chunk/v1`` record of one chunk, built as a dict."""
+    return {
+        "schema": "timeline-chunk/v1",
+        "chunk": chunk.index,
+        "token_start": chunk.token_start,
+        "token_end": chunk.token_end,
+        "reads_total": chunk.reads_total,
+        "stages": {s: [start, finish] for s, (start, finish) in chunk.stages.items()},
+    }
+
+
+def reference_simulate(scenario: ScenarioConfig, timings: StageTimings) -> Timeline:
     """The simulator loop that evaluates both cumulative llm and tts costs,
     through chunk j-1 and through chunk j, at every chunk."""
     policy = scenario.policy
@@ -312,7 +328,7 @@ def reference_simulate(scenario: ScenarioConfig, timings: StageTimings) -> list[
         prev_reads = reads_total
         prev_tokens = token_end
     timeline.validate()
-    return timeline.to_records()
+    return timeline
 
 
 @dataclass
@@ -340,7 +356,7 @@ def outcome(simulate, scenario: ScenarioConfig, timings: StageTimings):
     except (ValueError, KeyError) as exc:
         result = (type(exc), str(exc))
     if isinstance(result, Timeline):
-        result = result.to_records()
+        result = [chunk_record(c) for c in result.chunks]
     return result, max(timings.llm.counts, default=0), max(timings.tts.counts, default=0)
 
 
@@ -418,6 +434,131 @@ def test_simulation_rejects_missing_lookup_entries() -> None:
 def test_scenario_validation() -> None:
     with pytest.raises(ValueError):
         ScenarioConfig(policy=SchedulePolicy(1, 1), n_text=0, m_speech=5)
+
+
+# Costs whose text is "-0.0", a plain decimal, a subnormal or an exponent form.
+COSTS = st.one_of(st.just(-0.0), st.floats(0.0, 1e3), st.floats(1e16, 1e20))
+
+
+@st.composite
+def simulation_cases(draw) -> tuple[ScenarioConfig, StageTimings]:
+    """Affine or lookup models, combined or separate synthesis, and chunk
+    counts that often leave a partial final chunk."""
+    r, w = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n_text, m_speech = draw(st.integers(1, 12)), draw(st.integers(1, 25))
+
+    def model(stage: str, size: int) -> StageTimingModel:
+        if draw(st.booleans(), label=f"{stage} affine"):
+            return StageTimingModel.affine(stage, draw(COSTS), draw(COSTS))
+        costs = draw(st.lists(COSTS, min_size=size, max_size=size), label=stage)
+        # llm and tts curves are cumulative, so their tables must not decrease.
+        return lookup(stage, itertools.accumulate(costs) if stage in (STAGE_LLM, STAGE_TTS) else costs)
+
+    synthesis = {STAGE_FM: model(STAGE_FM, w), STAGE_VOC: model(STAGE_VOC, 2 * w)} if draw(
+        st.booleans(), label="separate") else {STAGE_FM_VOC: model(STAGE_FM_VOC, w)}
+    timings = StageTimings(llm=model(STAGE_LLM, n_text), tts=model(STAGE_TTS, m_speech), **synthesis)
+    return ScenarioConfig(policy=SchedulePolicy(r, w), n_text=n_text, m_speech=m_speech), timings
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=simulation_cases())
+@example(case=(ScenarioConfig(SchedulePolicy(2, 3), n_text=5, m_speech=11), StageTimings(
+    llm=StageTimingModel.affine(STAGE_LLM, -0.0, 3e15), tts=StageTimingModel.affine(STAGE_TTS, 0.5, 1e16),
+    fm=StageTimingModel.affine(STAGE_FM, -0.0, -0.0), voc=StageTimingModel.affine(STAGE_VOC, 1e-310, 0.25))))
+@example(case=(ScenarioConfig(SchedulePolicy(1, 2), n_text=3, m_speech=5), StageTimings(
+    llm=lookup(STAGE_LLM, [-0.0, -0.0, 1e17]), tts=lookup(STAGE_TTS, [0.1, 0.2, 2e16, 2e16, 3e16]),
+    fm_voc=lookup(STAGE_FM_VOC, [-0.0, 7.0]))))
+def test_chunk_line_is_the_canonical_text_of_the_chunk_record(case) -> None:
+    timeline = simulate_stream(*case)
+    assert [chunk_line(c) for c in timeline.chunks] == [dumps_canonical(chunk_record(c)) for c in timeline.chunks]
+
+
+def test_chunk_line_sorts_stages_inserted_in_any_order() -> None:
+    chunk = ChunkTiming(3, 5, 6, 2, {STAGE_VOC: (4.0, 1e16), STAGE_LLM: (-0.0, 1.5), STAGE_FM: (2.0, 3.0)})
+    assert chunk_line(chunk) == (
+        '{"chunk":3,"reads_total":2,"schema":"timeline-chunk/v1","stages":{"fm":[2.0,3.0],"llm":[-0.0,1.5],'
+        '"voc":[4.0,1e+16]},"token_end":6,"token_start":5}'
+    )
+    assert chunk_line(chunk) == dumps_canonical(chunk_record(chunk))
+
+
+def hand_timeline(*chunk_stages: dict) -> Timeline:
+    """Chunk j holds the j-th stages dict, in the order given."""
+    count = len(chunk_stages)
+    return Timeline(ScenarioConfig(SchedulePolicy(1, 1), n_text=count, m_speech=count),
+                    [ChunkTiming(j, j, j, j, dict(stages)) for j, stages in enumerate(chunk_stages, start=1)])
+
+
+FIRST = {STAGE_LLM: (0.0, 1.0), STAGE_TTS: (1.0, 2.0), STAGE_FM_VOC: (2.0, 3.0)}
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "chunks, message",
+    [
+        # a stage starts before the previous stage of its chunk finishes
+        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (1.5, 4.0), STAGE_FM_VOC: (4.0, 5.0)}],
+         "chunk 2: stage tts starts before llm finishes"),
+        # the same, with the stages inserted out of pipeline order
+        ([{STAGE_FM_VOC: (2.0, 3.0), STAGE_TTS: (0.5, 2.0), STAGE_LLM: (0.0, 1.0)}],
+         "chunk 1: stage tts starts before llm finishes"),
+        # chunk 2 has other stages than chunk 1, so its own order applies
+        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 4.0), STAGE_FM: (4.0, 5.0), STAGE_VOC: (4.5, 6.0)}],
+         "chunk 2: stage voc starts before fm finishes"),
+        # a stage finishes before it starts
+        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 4.0), STAGE_FM_VOC: (5.0, 4.5)}],
+         "chunk 2: stage fm_voc finishes before it starts"),
+        # chunk 2 starts a stage before chunk 1 finishes it
+        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 2.5), STAGE_FM_VOC: (2.5, 5.0)}],
+         "stage fm_voc: chunk 2 starts before chunk 1 finishes"),
+        # non-finite times
+        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (NAN, 4.0), STAGE_FM_VOC: (4.0, 5.0)}],
+         "chunk 2: stage tts time is not finite (nan, 4.0)"),
+        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, NAN), STAGE_FM_VOC: (4.0, 5.0)}],
+         "chunk 2: stage tts time is not finite (2.0, nan)"),
+        ([{STAGE_LLM: (-INF, 1.0), STAGE_TTS: (1.0, 2.0), STAGE_FM_VOC: (2.0, 3.0)}],
+         "chunk 1: stage llm time is not finite (-inf, 1.0)"),
+        ([{STAGE_LLM: (0.0, 1.0), STAGE_TTS: (1.0, 2.0), STAGE_FM_VOC: (INF, INF)}],
+         "chunk 1: stage fm_voc time is not finite (inf, inf)"),
+        # which error wins: start order before intervals within a chunk ...
+        ([{STAGE_LLM: (0.0, 1.0), STAGE_TTS: (0.5, 0.2), STAGE_FM_VOC: (2.0, 3.0)}],
+         "chunk 1: stage tts starts before llm finishes"),
+        # ... intervals in insertion order ...
+        ([{STAGE_LLM: (0.0, 1.0), STAGE_TTS: (1.0, NAN), STAGE_FM_VOC: (3.0, 2.0)}],
+         "chunk 1: stage tts time is not finite (1.0, nan)"),
+        ([{STAGE_LLM: (0.0, 1.0), STAGE_FM_VOC: (3.0, 2.0), STAGE_TTS: (1.0, NAN)}],
+         "chunk 1: stage fm_voc finishes before it starts"),
+        # ... and every chunk's own checks before any check across chunks
+        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (1.5, 4.0), STAGE_FM_VOC: (2.5, 5.0)}],
+         "chunk 2: stage tts starts before llm finishes"),
+        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 2.5), STAGE_FM_VOC: (2.5, 5.0)},
+          {STAGE_LLM: (2.0, 3.0), STAGE_TTS: (4.0, 6.0), STAGE_FM_VOC: (6.0, INF)}],
+         "chunk 3: stage fm_voc time is not finite (6.0, inf)"),
+    ],
+)
+def test_validate_names_the_first_broken_invariant(chunks, message) -> None:
+    with pytest.raises(ValueError) as excinfo:
+        hand_timeline(*chunks).validate()
+    assert str(excinfo.value) == message
+
+
+def test_validate_accepts_touching_and_empty_intervals() -> None:
+    hand_timeline({STAGE_LLM: (0.0, -0.0), STAGE_TTS: (0.0, 2.0), STAGE_FM_VOC: (2.0, 3.0)},
+                  {STAGE_LLM: (0.0, 2.0), STAGE_TTS: (2.0, 2.0), STAGE_FM_VOC: (3.0, 3.0)},
+                  {STAGE_LLM: (2.0, 2.0), STAGE_TTS: (2.0, 5.0), STAGE_FM: (5.0, 6.0), STAGE_VOC: (6.0, 7.0)}).validate()
+
+
+def test_overflowing_costs_raise() -> None:
+    timings = StageTimings(llm=StageTimingModel.affine(STAGE_LLM, 1.0, 1e307),
+                           tts=StageTimingModel.affine(STAGE_TTS, 1.0, 1e307),
+                           fm_voc=StageTimingModel.affine(STAGE_FM_VOC, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^first-chunk latency is not finite: llm 1e\+308 \+ tts 1e\+308"):
+        first_chunk_latency(timings, SchedulePolicy(10, 10))
+    assert first_chunk_latency(timings, SchedulePolicy(1, 1)).total_ms == 2e307 + 3.0
+    # Each chunk adds 1e307 to tts; its finish leaves the float range at chunk 17.
+    scenario = ScenarioConfig(SchedulePolicy(1, 1), n_text=30, m_speech=30)
+    with pytest.raises(ValueError, match=r"^chunk 17: stage tts time is not finite \(1\.7\d*e\+308, inf\)$"):
+        simulate_stream(scenario, timings)
 
 
 # ---------------------------------------------------------------------------

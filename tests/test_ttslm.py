@@ -270,6 +270,36 @@ def test_overflowing_logits_are_rejected_without_warnings() -> None:
         next_token_accuracy([(C, Y)], policy, params)
 
 
+@pytest.mark.filterwarnings("error")
+def test_logits_whose_range_overflows_are_rejected_without_warnings() -> None:
+    vocab = ExtendedVocab(text_size=0, speech_size=6)
+    params = init_predictor(vocab, fused_dim=4, rng=np.random.default_rng(7))
+    # Every logit is finite (+-9e307), but a row's max - min overflows.
+    out_weight = np.zeros_like(params.out_weight)
+    out_weight[:, 0] = 1e308 * (-1.0) ** np.arange(len(out_weight))
+    feat_bias = np.zeros_like(params.feat_bias)
+    feat_bias[0] = 0.9
+    params = params.replace({**params.arrays(), "out_weight": out_weight,
+                             "feat_weight": np.zeros_like(params.feat_weight), "feat_bias": feat_bias})
+    C, Y, policy = np.zeros((2, 4)), [1, 2], SchedulePolicy(1, 1)
+    with pytest.raises(ValueError, match="^model logits span more than the float range$"):
+        interleaved_loss_terms(C, Y, policy, params)
+    with pytest.raises(ValueError, match="^model logits span more than the float range$"):
+        next_token_accuracy([(C, Y)], policy, params)
+
+
+def test_empty_dataset_is_named() -> None:
+    # next_token_accuracy([]) is covered by test_accuracy_needs_positions_to_score.
+    params = init_predictor(VOCAB, fused_dim=3)
+    ffn = FfnParams(np.zeros((4, 5)), np.zeros(4), np.zeros((3, 4)), np.zeros(3))
+    gate = GateParams(np.zeros((3, 6)), np.zeros(3))
+    policy = SchedulePolicy(1, 1)
+    with pytest.raises(ValueError, match="^dataset is empty$"):
+        interleaved_loss_and_grads([], policy, params)
+    with pytest.raises(ValueError, match="^dataset is empty$"):
+        fused_loss_and_grads([], policy, ffn, gate, params)
+
+
 # ---------------------------------------------------------------------------
 # analytic gradients
 
