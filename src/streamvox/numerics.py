@@ -127,7 +127,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     # min(x, -x) is -|x|, so exp stays <= 1; unlike -abs(x) it keeps a NaN's sign bit.
     x = np.asarray(x, dtype=float)
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # The numerator of 1/(1+e) or e/(1+e), then one divide: the same bits.
+    # np.where gives a fresh array, so a 0-d input still returns a 0-d array.
+    num = np.where(x >= 0, 1.0, e)
+    return np.divide(num, 1.0 + e, out=num)
 
 
 def ffn_apply(params: FfnParams, x) -> np.ndarray:

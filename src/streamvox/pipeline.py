@@ -397,8 +397,9 @@ def calibrate_affine(
     """Ordinary least squares fit of ``intercept + per_token * count``.
 
     Returns the fitted model and the maximum absolute residual over the
-    samples.  Requires at least two samples with distinct counts; each
-    sample is a point that :func:`parse_point` accepts, as in a lookup table.
+    samples, which must be finite.  Requires at least two samples with
+    distinct counts; each sample is a point that :func:`parse_point` accepts,
+    as in a lookup table.
     """
     if not isinstance(samples, Sequence) or len(samples) < 2:
         raise ValueError("need a list of at least two samples to fit an affine model")
@@ -409,7 +410,10 @@ def calibrate_affine(
         raise ValueError("samples are degenerate: all token counts are equal")
     design = np.vstack([np.ones_like(counts), counts]).T
     (intercept, slope), *_ = np.linalg.lstsq(design, costs, rcond=None)
-    residual = float(np.abs(costs - (intercept + slope * counts)).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a fit near the float range is rejected below
+        residual = float(np.abs(costs - (intercept + slope * counts)).max())
+    if not math.isfinite(residual):
+        raise ValueError(f"stage {stage!r} fit residual is not finite ({residual})")
     return StageTimingModel.affine(stage, float(intercept), float(slope)), residual
 
 

@@ -392,7 +392,7 @@ def decode_stream(
     session's ``logits`` is the same at any prefix length.
     """
     it = iter(stream)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed) if config.mode == "sampled" else None
     session = model.session() if hasattr(model, "session") else _RowBufferSession(model)
     width = n = 0
     tokens: list[int] = []
@@ -480,58 +480,69 @@ _BLOCK = 64
 _SLACK = 1e-9
 
 
-def _choose_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator) -> int:
+def _choose_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator | None) -> int:
     """Greedy: ``argmax``.  Sampled: the token ``rng.choice(len(p), p=p)``
     draws for ``p = exp(log_softmax(logits / T))``, bit for bit, leaving the
     same generator state: one ``rng.random()`` per token, none when the
     logits are rejected.
 
-    The draw is decided from ``e = exp(x - max x)``, ``x = logits / T``:
+    The draw is decided from the unshifted ``e = exp(x)``, ``x = logits / T``:
     ``_BLOCK``-wide block sums, their running sum (``total`` at the end),
     and a running sum inside the one block that holds ``target = u * total``.
     The first ``j`` whose estimate exceeds ``target`` is returned when
     ``u >= 2**-53`` (every nonzero ``rng.random()``, a multiple of
-    ``2**-53``), ``1 <= total <= 2V`` (true only for finite logits), the
-    estimate before ``j`` is ``<= target * (1 - _SLACK)`` and the estimate
-    at ``j`` is ``> target * (1 + _SLACK)``.  That ``j`` is the token of the
-    exact path, :func:`_exact_draw`, because:
+    ``2**-53``), ``2**-960 <= total <= 2**1000`` (true only for finite
+    logits), the estimate before ``j`` is ``<= target * (1 - _SLACK)`` and
+    the estimate at ``j`` is ``> target * (1 + _SLACK)``.  That ``j`` is the
+    token of the exact path, :func:`_exact_draw`, because:
 
     - each exact probability is ``e_k * exp(-lse)`` to within about
       ``745 * 2**-53`` plus a few ulp, ≲1e-13 relative: it is ``exp`` of a
       rounded log-probability of magnitude at most 745 (smaller ones are 0
       on both paths), and a factor common to all ``k`` cancels in the
       normalizing divide;
+    - each normal ``e_k`` is ``exp(x_k)`` to within a few ulp, with no
+      rounded subtract before the ``exp``: it is the shifted term
+      ``exp(x_k - max x)`` times the common factor ``exp(max x)``, which
+      cancels against the same factor in ``total``, so the bound above
+      holds for it too;
     - the exact sequential ``cumsum`` adds at most ``V * 2**-53`` (7e-13 at
       V=6626) and the divide 1 ulp; the block estimates and ``u * total``
       are off by at most ``(2 * _BLOCK + V / _BLOCK) * 2**-53`` (≲3e-14);
-    - all of these are far below ``_SLACK = 1e-9``, and ``u >= 2**-53``
-      gives ``target >= 2**-53``, so absolute errors from subnormal terms
-      (below ``V * 2**-1074``) cannot flip a decision;
+    - all of these are far below ``_SLACK = 1e-9``;
+    - underflowed and subnormal terms are off by a few ``2**-1074`` each,
+      ``V`` times that in all.  ``total >= 2**-960`` and ``u >= 2**-53``
+      give ``target >= 2**-1013``, a normal number, so its products with
+      ``1 ± _SLACK`` round to 1 ulp and that absolute error is at most
+      about ``V * 2**-59`` of ``target`` (≲2e-14 at V=6626), again far
+      below ``_SLACK``, so it cannot flip a decision;
+    - ``total <= 2**1000`` keeps every term, block sum, running sum,
+      ``u * total`` and ``target * (1 + _SLACK)`` below the float maximum
+      (about ``2**1024``), so none of them overflows;
     - the exact CDF is monotone, so certifying that it is below ``u``
       before ``j`` and above ``u`` at ``j`` certifies ``j``.
 
-    Every other draw (non-finite logits, ``u == 0``, ``u`` within the slack
-    of a CDF step) runs :func:`_exact_draw` on the same ``u``."""
+    Every other draw (a ``total`` outside that range, which every
+    non-finite ``x`` gives and an ``exp`` that over- or underflowed can,
+    ``u == 0``, ``u`` within the slack of a CDF step) runs
+    :func:`_exact_draw` on the same ``u``."""
     if config.mode == "greedy":
-        return int(np.argmax(logits))
+        return int(np.asarray(logits).argmax())
     x = np.asarray(logits, dtype=float)
     # x / 1.0 == x exactly, so skipping that divide changes no token.
     if config.temperature != 1.0:
         x = x / config.temperature
-    e = x - x.max()
-    np.exp(e, out=e)
-    sums = np.add.reduceat(e, np.arange(0, len(e), _BLOCK))
-    np.cumsum(sums, out=sums)
+    e, sums = _exp_block_sums(x)
     total = sums[-1]
-    if not 1.0 <= total <= 2 * len(e):  # NaN, +inf or all -inf
-        with np.errstate(invalid="ignore"):  # the subtract above has warned once
+    if not 2.0**-960 <= total <= 2.0**1000:  # exp over- or underflowed, or x is not finite
+        with np.errstate(over="ignore", invalid="ignore"):  # _exact_draw rejects what is not finite
             return _exact_draw(x, rng.random)
     u = rng.random()
     target = u * total
     b = int(sums.searchsorted(target, side="right"))
     if u >= 2.0**-53 and b < len(sums):  # rng.random() draws multiples of 2**-53
         before = sums[b - 1] if b else 0.0
-        run = np.cumsum(e[b * _BLOCK : (b + 1) * _BLOCK])
+        run = np.add.accumulate(e[b * _BLOCK : (b + 1) * _BLOCK])
         run += before
         i = int(run.searchsorted(target, side="right"))
         if i < len(run):
@@ -540,6 +551,14 @@ def _choose_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Gener
             if before <= target * (1 - _SLACK) and run[i] > target * (1 + _SLACK):
                 return b * _BLOCK + i
     return _exact_draw(x, lambda: u)
+
+
+@np.errstate(over="ignore")  # an x_k above 709.78 gives an inf total, which goes to _exact_draw
+def _exp_block_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``e = exp(x)`` and the running sums of its ``_BLOCK``-wide blocks."""
+    e = np.exp(x)
+    sums = np.add.reduceat(e, np.arange(0, len(e), _BLOCK))
+    return e, np.add.accumulate(sums, out=sums)
 
 
 def _exact_draw(x: np.ndarray, draw) -> int:

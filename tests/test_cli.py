@@ -254,6 +254,14 @@ def test_calibrate_malformed_points_exit_one(tmp_path, capsys, points) -> None:
     assert err.startswith("error: sample ") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_calibrate_overflowing_fit_exit_one_with_one_line(tmp_path, capsys) -> None:
+    path = tmp_path / "points.json"
+    records.write_json(path, [[1, 0], [2, 1.7e308]])
+    code, out, err = run(capsys, "calibrate", "--stage", "llm", "--points", str(path))
+    assert (code, out, err) == (1, "", "error: stage 'llm' fit residual is not finite (inf)\n")
+
+
 # ---------------------------------------------------------------------------
 # train-toy / eval / datagen round trip
 

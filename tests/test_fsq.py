@@ -109,6 +109,28 @@ def test_index_to_code_rejects_out_of_range_indices(bad) -> None:
         index_to_code(bad)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, ">i2"])
+def test_codec_rejects_negative_values_of_every_width(dtype) -> None:
+    # int8 cannot hold the codebook bound 6561, int16 can; both must reject negatives.
+    for bad in (-1, np.iinfo(dtype).min):
+        code = np.zeros((2, 8), dtype=dtype)
+        code[1, 3] = bad
+        for codec in (dequantize, code_to_index):
+            with pytest.raises(ValueError, match=r"^code digits must lie in \[0, 3\)$"):
+                codec(code)
+        with pytest.raises(ValueError, match=rf"^index {bad} out of range \[0, 6561\)$"):
+            index_to_code(np.array([[0, bad]], dtype=dtype))
+    top = min(int(np.iinfo(dtype).max), 6560)
+    np.testing.assert_array_equal(index_to_code(np.array([top, 0], dtype=dtype)), index_to_code(np.array([top, 0])))
+    np.testing.assert_array_equal(dequantize(np.full(8, 2, dtype=dtype)), dequantize(np.full(8, 2)))
+
+
+@pytest.mark.parametrize("bad", [2**63, 2**63 + 5, 2**64 - 1])
+def test_index_error_names_large_unsigned_indices_as_given(bad) -> None:
+    with pytest.raises(ValueError, match=rf"^index {bad} out of range \[0, 6561\)$"):
+        index_to_code(np.array([3, bad], dtype=np.uint64))
+
+
 def test_batched_codec_matches_per_item() -> None:
     cfg = FsqConfig()
     indices = np.arange(cfg.codebook_size)

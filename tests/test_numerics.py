@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -73,6 +74,14 @@ def test_sigmoid_matches_two_branch_form_bit_for_bit() -> None:
         got, want = sigmoid(x), two_branch_sigmoid(x)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+
+@pytest.mark.parametrize("x", [0.5, -2.0, np.float64(3.0), np.array(-0.25)])
+def test_sigmoid_of_a_scalar_is_a_writable_0d_array(x) -> None:
+    got = sigmoid(x)
+    assert type(got) is np.ndarray and got.shape == () and got.flags.writeable
+    assert got.tobytes() == two_branch_sigmoid(np.asarray(x, dtype=float)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +499,23 @@ def test_fuse_rejects_bad_ids(ids) -> None:
     np.testing.assert_array_equal(fuse(ffn, gate, table, x, [2, 0])[1], [[4.0, 5.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match=r"embedding ids must be integers in \[0, 3\)"):
         fuse(ffn, gate, table, x, ids)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, ">i2"])
+@pytest.mark.parametrize("rows", [3, 300])
+def test_fuse_rejects_negative_ids_of_every_width(dtype, rows) -> None:
+    rng = np.random.default_rng(6)
+    ffn = random_ffn(rng, 3, 4, 2)
+    gate = GateParams(rng.standard_normal((2, 4)), rng.standard_normal(2))
+    table = rng.standard_normal((rows, 2))
+    x = rng.standard_normal((2, 3))
+    for bad in (-1, np.iinfo(dtype).min):
+        ids = np.array([2, bad], dtype=dtype)
+        with pytest.raises(ValueError, match=rf"^embedding ids must be integers in \[0, {rows}\), got {re.escape(str(ids))}$"):
+            fuse(ffn, gate, table, x, ids)
+    top = min(int(np.iinfo(dtype).max), rows - 1)
+    ids = np.array([top, 0], dtype=dtype)
+    assert fuse(ffn, gate, table, x, ids)[2].tobytes() == fuse(ffn, gate, table, x, [top, 0])[2].tobytes()
 
 
 def test_tensor_file_round_trip(tmp_path) -> None:

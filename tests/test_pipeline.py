@@ -602,6 +602,12 @@ def test_calibrate_two_points_interpolates_exactly() -> None:
     assert model.cost_ms(6) == pytest.approx(30.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_calibrate_rejects_a_fit_whose_residual_overflows() -> None:
+    with pytest.raises(ValueError, match=r"^stage 'llm' fit residual is not finite \(inf\)$"):
+        calibrate_affine([(1, 0.0), (2, 1.7e308)], stage=STAGE_LLM)
+
+
 def test_calibrate_rejects_degenerate_samples() -> None:
     with pytest.raises(ValueError):
         calibrate_affine([(3, 10.0)])

@@ -714,6 +714,88 @@ def test_sampled_choice_rarely_needs_the_exact_path(monkeypatch) -> None:
     assert len(calls) <= 100
 
 
+def _logits_near(kind: str, value: float, size: int, temperature: float, masked: bool) -> tuple[np.ndarray, bool]:
+    """Logits ``x * T`` at one edge of the unshifted range, and whether the
+    total of ``exp(x)`` leaves it, so that the draw must take the exact path."""
+    z = 0.5 * np.random.default_rng(size).standard_normal(size)
+    if masked:
+        z[size // 4 : size // 2] = -np.inf
+    if kind == "total":  # shift z so the unshifted total of exp(x) is value
+        x = z + (math.log(value) - math.log(np.exp(z).sum()))
+        outside = not 2.0**-960 <= value <= 2.0**1000
+    elif kind == "max":  # one x at value, the rest near 0
+        x = z.copy()
+        x[size // 3] = value
+        outside = True
+    else:  # every finite x near value
+        x = z + value
+        outside = True
+    return x * temperature, outside
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, value", [
+    ("total", 2.0**-960 * 1.001), ("total", 2.0**-960 * 0.999),
+    ("total", 2.0**1000 * 0.999), ("total", 2.0**1000 * 1.001),
+    ("max", 709.78), ("max", 709.79),  # exp(709.78) is finite, exp(709.79) overflows
+    ("near", -745.0),  # exp underflows to a subnormal or 0
+])
+@pytest.mark.parametrize("temperature", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("masked", [False, True])
+def test_sampled_choice_at_the_edges_of_the_unshifted_range(monkeypatch, kind, value, temperature, masked) -> None:
+    logits, outside = _logits_near(kind, value, 700, temperature, masked)
+    config = DecodeConfig(mode="sampled", temperature=temperature)
+    probs = np.exp(log_softmax(logits / temperature))
+    exact = _count_exact_draws(monkeypatch)
+    for seed in range(40):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _choose_token(logits, config, ours) == int(theirs.choice(len(probs), p=probs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    # Inside the range the fast path certifies every one of these draws.
+    assert len(exact) == 40 * outside
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_choice_of_logits_whose_range_overflows() -> None:
+    # Every logit is finite, but exp(1e308) overflows and 1e308 - -1e308 does too.
+    logits = np.zeros(70)
+    logits[[5, 9]] = 1e308, -1e308
+    with np.errstate(over="ignore"):
+        probs = np.exp(log_softmax(logits))
+    for seed in range(10):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _choose_token(logits, DecodeConfig(mode="sampled"), ours) == int(theirs.choice(len(probs), p=probs)) == 5
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_standard_normal_logits_stay_in_the_unshifted_range(monkeypatch) -> None:
+    draws: list = []
+    exact = ttslm._exact_draw
+    monkeypatch.setattr(ttslm, "_exact_draw", lambda x, draw: draws.append(draw) or exact(x, draw))
+    logits = np.random.default_rng(5).standard_normal(6626)
+    rng = np.random.default_rng(6)
+    for temperature in (0.3, 1.0, 2.5):
+        config = DecodeConfig(mode="sampled", temperature=temperature)
+        for _ in range(3_000):
+            _choose_token(logits, config, rng)
+    # A total outside the range hands the generator's own random() to the exact path.
+    assert not [draw for draw in draws if getattr(draw, "__self__", None) is rng]
+
+
+def test_greedy_choice_takes_array_likes() -> None:
+    assert _choose_token([0.5, 2.0, -1.0, 2.0], DecodeConfig(), None) == 1
+    assert _choose_token((3, 1), DecodeConfig(), None) == 0
+
+
+def test_greedy_decode_builds_no_generator(monkeypatch) -> None:
+    def no_generator(seed=None):
+        raise AssertionError("greedy decoding drew a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    result = decode_stream(iter(np.zeros((3, 3))), SchedulePolicy(1, 2), SpeechOnlyModel(VOCAB), DecodeConfig(max_tokens=4))
+    assert len(result.tokens) == 4
+
+
 def test_decode_gives_the_model_a_read_only_prefix() -> None:
     @dataclass
     class WritingModel:
