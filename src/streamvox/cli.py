@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
         timeline = pipeline.simulate_stream(scenario, timings)
     _emit(args, breakdown.to_record())
     if timeline is not None:
-        records.write_jsonl(_resolve_out(args.timeline), timeline.chunks, encode=pipeline.chunk_line)
+        records.write_jsonl(_resolve_out(args.timeline), pipeline.chunk_lines(timeline.chunks), encode=str)
     return 0
 
 
@@ -139,7 +139,7 @@ def _cmd_datagen(args) -> int:
         datagen.write_corpus(_resolve_out(args.out), dialogues)
     else:
         for dialogue in dialogues:
-            print(records.dumps_canonical(dialogue.to_record()))
+            print(datagen.dialogue_line(dialogue))
     return 0
 
 

@@ -1,18 +1,18 @@
-"""Multi-turn dialogue corpus synthesis with pluggable turn generators.
+"""Multi-turn dialogue corpus synthesis with a deterministic stub generator.
 
 Turn counts are drawn from Poisson(lambda=2) clipped to [1, 5].  Each
 dialogue gets a fresh random prompt-voice id (varied instruction voices)
 while every response across a corpus shares one response-voice id; voices are
-carried as metadata only, no audio is produced.  Turn text comes from a
-``GeneratorClient``: a deterministic offline stub by default, or an adapter
-speaking a small JSON protocol to an external generation service.
+carried as metadata only, no audio is produced.  Turn text comes from an
+offline template generator seeded per dialogue from the corpus seed, which
+must be a non-negative int (not a bool).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,8 +23,6 @@ MIN_TURNS = 1
 MAX_TURNS = 5
 
 DEFAULT_RESPONSE_VOICE = "response-voice-0"
-DEFAULT_TIMEOUT_S = 10.0
-DEFAULT_RETRIES = 2
 
 CORPUS_SCHEMA = "dialogue/v1"
 
@@ -42,20 +40,6 @@ def turn_count_pmf() -> dict[int, float]:
         pmf[k] = base[k]
     pmf[MAX_TURNS] = 1.0 - sum(base.values())
     return pmf
-
-
-class GeneratorClient(Protocol):
-    def next_turn(self, history: Sequence[tuple[str, str]]) -> tuple[str, str]:
-        """Produce the next (instruction, response) given the prior turns."""
-        ...
-
-
-class GenerationError(RuntimeError):
-    """Turn generation failed after retries; carries the partial transcript."""
-
-    def __init__(self, message: str, partial_turns: list[tuple[str, str]]):
-        super().__init__(f"{message} (after {len(partial_turns)} completed turns)")
-        self.partial_turns = partial_turns
 
 
 _TOPICS = (
@@ -100,46 +84,10 @@ class StubGenerator:
         return instruction, response
 
 
-@dataclass
-class ExternalServiceClient:
-    """Adapter for an external turn-generation service.
-
-    Wire format: the request is ``{"type": "turn_request", "turn_index": i,
-    "history": [{"instruction": ..., "response": ...}, ...]}`` and the reply
-    must be ``{"instruction": ..., "response": ...}``.  ``transport`` performs
-    one request/reply exchange (an HTTP POST in production, a fake in tests)
-    and is retried up to ``retries`` extra times on any exception it raises.
-    A reply that arrives malformed raises ``ValueError`` without a retry.
-    """
-
-    transport: Callable[[dict, float], dict]
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    retries: int = DEFAULT_RETRIES
-
-    def next_turn(self, history: Sequence[tuple[str, str]]) -> tuple[str, str]:
-        request = {
-            "type": "turn_request",
-            "turn_index": len(history) + 1,
-            "history": [{"instruction": i, "response": r} for i, r in history],
-        }
-        failure: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                reply = self.transport(request, self.timeout_s)
-            except Exception as exc:
-                failure = exc
-                continue
-            if not isinstance(reply, Mapping) or not {"instruction", "response"} <= reply.keys():
-                raise ValueError(
-                    f"malformed turn reply: expected a mapping with 'instruction' and 'response', got {reply!r}"
-                )
-            return str(reply["instruction"]), str(reply["response"])
-        raise RuntimeError(f"turn generation failed after {self.retries + 1} attempts: {failure}")
-
-
 @dataclass(frozen=True)
 class DialogueRecord:
-    """One multi-turn dialogue with its voice metadata."""
+    """One multi-turn dialogue with its voice metadata; every id and turn
+    text must be a str, and errors name the field path."""
 
     id: str
     voice_prompt_id: str
@@ -147,6 +95,15 @@ class DialogueRecord:
     turns: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        records.string("id", self.id)
+        records.string("voice_prompt_id", self.voice_prompt_id)
+        records.string("response_voice_id", self.response_voice_id)
+        for i, turn in enumerate(self.turns):
+            if not (isinstance(turn, tuple) and len(turn) == 2):
+                raise ValueError(f"turns[{i}] must be an (instruction, response) pair, got {turn!r}")
+            if not (isinstance(turn[0], str) and isinstance(turn[1], str)):
+                records.string(f"turns[{i}].instruction", turn[0])
+                records.string(f"turns[{i}].response", turn[1])
         if not MIN_TURNS <= len(self.turns) <= MAX_TURNS:
             raise ValueError(
                 f"turn count must lie in [{MIN_TURNS}, {MAX_TURNS}], got {len(self.turns)}"
@@ -171,30 +128,32 @@ class DialogueRecord:
             if not isinstance(turn, Mapping):
                 raise ValueError(f"turns[{i}] must be an object, got {turn!r}")
         return cls(
-            id=records.string("id", record.get("id")),
-            voice_prompt_id=records.string("voice_prompt_id", record.get("voice_prompt_id")),
-            response_voice_id=records.string("response_voice_id", record.get("response_voice_id")),
-            turns=tuple(
-                (records.string(f"turns[{i}].instruction", t.get("instruction")),
-                 records.string(f"turns[{i}].response", t.get("response")))
-                for i, t in enumerate(turns)
-            ),
+            id=record.get("id"),
+            voice_prompt_id=record.get("voice_prompt_id"),
+            response_voice_id=record.get("response_voice_id"),
+            turns=tuple((t.get("instruction"), t.get("response")) for t in turns),
         )
 
 
+def dialogue_line(dialogue: DialogueRecord) -> str:
+    """The dialogue's ``dialogue/v1`` record as ``records.dumps_canonical``
+    writes it: keys sorted, each string as :func:`records.quote` writes it."""
+    quote = records.quote
+    turns = ",".join([f'{{"instruction":{quote(i)},"response":{quote(r)}}}' for i, r in dialogue.turns])
+    return (f'{{"id":{quote(dialogue.id)},"response_voice_id":{quote(dialogue.response_voice_id)},'
+            f'"schema":"dialogue/v1","turns":[{turns}],"voice_prompt_id":{quote(dialogue.voice_prompt_id)}}}')
+
+
 def build_dialogue(
-    client: GeneratorClient,
+    generator: StubGenerator,
     rng: np.random.Generator,
     dialogue_id: str | None = None,
     response_voice_id: str = DEFAULT_RESPONSE_VOICE,
     turn_count: int | None = None,
 ) -> DialogueRecord:
-    """Generate one dialogue: sample the turn count, then ask the client for
-    each turn with the full prior history.
-
-    A client failure propagates as :class:`GenerationError` carrying the
-    turns completed so far.
-    """
+    """Generate one dialogue: sample the turn count, then ask the generator
+    (any object with ``next_turn(history)``) for each turn with the full
+    prior history."""
     if turn_count is None:
         turn_count = sample_turn_count(rng)
     if not MIN_TURNS <= turn_count <= MAX_TURNS:
@@ -204,10 +163,7 @@ def build_dialogue(
         dialogue_id = f"dlg-{rng.integers(2**32):08x}"
     turns: list[tuple[str, str]] = []
     for _ in range(turn_count):
-        try:
-            turns.append(client.next_turn(tuple(turns)))
-        except Exception as exc:
-            raise GenerationError(str(exc), turns) from exc
+        turns.append(generator.next_turn(tuple(turns)))
     return DialogueRecord(
         id=dialogue_id,
         voice_prompt_id=voice_prompt_id,
@@ -219,29 +175,23 @@ def build_dialogue(
 def generate_corpus(
     count: int,
     seed: int,
-    client: GeneratorClient | None = None,
     response_voice_id: str = DEFAULT_RESPONSE_VOICE,
 ) -> list[DialogueRecord]:
-    """Generate ``count`` dialogues; with no client supplied, each dialogue
-    uses a stub generator seeded from the corpus seed."""
+    """Generate ``count`` dialogues, each from a stub generator seeded from
+    the corpus seed, a non-negative int."""
     records.positive_int("count", count)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
-        dialogue_client = client if client is not None else StubGenerator(seed=seed * 100003 + i)
-        out.append(
-            build_dialogue(
-                dialogue_client,
-                rng,
-                dialogue_id=f"dlg-{seed}-{i:06d}",
-                response_voice_id=response_voice_id,
-            )
-        )
-    return out
+    return [
+        build_dialogue(StubGenerator(seed=seed * 100003 + i), rng, dialogue_id=f"dlg-{seed}-{i:06d}",
+                       response_voice_id=response_voice_id)
+        for i in range(count)
+    ]
 
 
 def write_corpus(path, dialogues: Sequence[DialogueRecord]) -> None:
-    records.write_jsonl(path, [d.to_record() for d in dialogues])
+    records.write_jsonl(path, dialogues, encode=dialogue_line)
 
 
 def read_corpus(path) -> list[DialogueRecord]:

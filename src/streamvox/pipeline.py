@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -259,14 +259,53 @@ class ChunkTiming:
         return max(finish for _, finish in self.stages.values())
 
 
-def chunk_line(chunk: ChunkTiming) -> str:
-    """The chunk's ``timeline-chunk/v1`` record as ``records.dumps_canonical``
+_NO_TIME = object()  # a sentinel that is no chunk's time
+
+
+def chunk_lines(chunks: Iterable[ChunkTiming]) -> Iterator[str]:
+    """Each chunk's ``timeline-chunk/v1`` record as ``records.dumps_canonical``
     writes it: keys and stage names sorted, numbers by ``repr``, which is the
     JSON text of every int and finite float (:meth:`Timeline.validate`
-    rejects non-finite times)."""
-    stages = ",".join([f'"{s}":[{start!r},{finish!r}]' for s, (start, finish) in sorted(chunk.stages.items())])
-    return (f'{{"chunk":{chunk.index!r},"reads_total":{chunk.reads_total!r},"schema":"timeline-chunk/v1",'
-            f'"stages":{{{stages}}},"token_end":{chunk.token_end!r},"token_start":{chunk.token_start!r}}}')
+    rejects non-finite times).
+
+    Stages are formatted in pipeline order.  A start that *is* the finish
+    just formatted before it in its chunk, or its stage's finish in the
+    previous chunk, reuses that finish's text, as :func:`simulate_stream`'s
+    starts do; any other start is formatted by ``repr``.  Reuse goes by
+    object identity, never by value (``0.0 == -0.0``), so the text is
+    ``repr``'s whatever the times are.
+    """
+    keys = None
+    for chunk in chunks:
+        stages = chunk.stages
+        if stages.keys() != keys:
+            keys, names = stages.keys(), sorted(stages)
+            ranked = [s for s in STAGES if s in stages] + [s for s in names if s not in STAGES]
+            # (stage, its place among the sorted names, its text's head) in pipeline order
+            order = [(s, names.index(s), f'"{s}":[') for s in ranked]
+            count = len(names)
+            # Each stage's finish in the previous chunk, and its text, by place.
+            last_finish, last_text = [_NO_TIME] * count, [""] * count
+        parts = [""] * count
+        upstream, upstream_text = _NO_TIME, ""  # the finish formatted just before, and its text
+        for stage, k, head in order:
+            start, finish = stages[stage]
+            if start is upstream:
+                start_text = upstream_text
+            elif start is last_finish[k]:
+                start_text = last_text[k]
+            else:
+                start_text = repr(start)
+            upstream = last_finish[k] = finish
+            upstream_text = last_text[k] = repr(finish)
+            parts[k] = f"{head}{start_text},{upstream_text}]"
+        yield (f'{{"chunk":{chunk.index!r},"reads_total":{chunk.reads_total!r},"schema":"timeline-chunk/v1",'
+               f'"stages":{{{",".join(parts)}}},"token_end":{chunk.token_end!r},"token_start":{chunk.token_start!r}}}')
+
+
+def chunk_line(chunk: ChunkTiming) -> str:
+    """One chunk's line: the one-chunk case of :func:`chunk_lines`."""
+    return next(chunk_lines((chunk,)))
 
 
 @dataclass
@@ -285,22 +324,25 @@ class Timeline:
         time is finite, and within a stage chunk j never starts before chunk
         j-1 finishes.  Every chunk's own checks run before the checks across
         chunks."""
-        keys = order = None
+        low, high = -math.inf, math.inf
+        keys = adjacent = None
         for chunk in self.chunks:
             stages = chunk.stages
             if stages.keys() != keys:
                 keys, order = stages.keys(), [s for s in STAGES if s in stages]
-            for prev, cur in zip(order, order[1:]):
+                adjacent = list(zip(order, order[1:]))
+            for prev, cur in adjacent:
                 if stages[cur][0] < stages[prev][1]:
                     raise ValueError(f"chunk {chunk.index}: stage {cur} starts before {prev} finishes")
             for stage, (start, finish) in stages.items():
-                if not -math.inf < start <= finish < math.inf:
+                if not low < start <= finish < high:
                     if math.isfinite(start) and math.isfinite(finish):
                         raise ValueError(f"chunk {chunk.index}: stage {stage} finishes before it starts")
                     raise ValueError(f"chunk {chunk.index}: stage {stage} time is not finite ({start!r}, {finish!r})")
         for prev, cur in zip(self.chunks, self.chunks[1:]):
-            for stage in cur.stages:
-                if stage in prev.stages and cur.stages[stage][0] < prev.stages[stage][1]:
+            before = prev.stages
+            for stage, (start, _) in cur.stages.items():
+                if stage in before and start < before[stage][1]:
                     raise ValueError(
                         f"stage {stage}: chunk {cur.index} starts before chunk {prev.index} finishes"
                     )
@@ -335,26 +377,33 @@ def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline
     """
     policy = scenario.policy
     n, m = scenario.n_text, scenario.m_speech
-    w = policy.write_block
+    r, w = policy.read_block, policy.write_block
     chunk_count = (m + w - 1) // w
+    llm_cost_ms, tts_cost_ms = timings.llm.cost_ms, timings.tts.cost_ms
+    # Synthesis stages in pipeline order, each with its cost of a chunk of tokens.
+    if timings.fm_voc is not None:
+        synthesis = [(STAGE_FM_VOC, timings.fm_voc.cost_ms)]
+    else:
+        voc_cost = timings.voc.cost_ms
+        synthesis = [(STAGE_FM, timings.fm.cost_ms), (STAGE_VOC, lambda tokens: voc_cost(mel_frames(tokens)))]
+    synth_done = [0.0] * len(synthesis)
 
-    timeline = Timeline(scenario=scenario)
+    chunks: list[ChunkTiming] = []
     # Cumulative llm and tts costs through chunk j-1; count 0 is free.
     llm_start = 0.0
     tts_prev = 0.0
     tts_done = 0.0
-    synth_done = {stage: 0.0 for stage in timings.synthesis_stages}
     prev_tokens = 0
     for j in range(1, chunk_count + 1):
         token_end = min(j * w, m)
         chunk_tokens = token_end - prev_tokens
-        reads_total = min(j * policy.read_block, n)
+        reads_total = min(j * r, n)
 
-        llm_finish = timings.llm.cost_ms(reads_total)
+        llm_finish = llm_cost_ms(reads_total)
         if llm_finish < llm_start:
             raise ValueError("llm timing model is not non-decreasing in the token count")
 
-        tts_cost = timings.tts.cost_ms(token_end)
+        tts_cost = tts_cost_ms(token_end)
         tts_service = tts_cost - tts_prev
         if tts_service < 0:
             raise ValueError("tts timing model is not non-decreasing in the token count")
@@ -363,30 +412,16 @@ def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline
 
         stages = {STAGE_LLM: (llm_start, llm_finish), STAGE_TTS: (tts_start, tts_done)}
         upstream = tts_done
-        if timings.fm_voc is not None:
-            start = max(upstream, synth_done[STAGE_FM_VOC])
-            synth_done[STAGE_FM_VOC] = start + timings.fm_voc.cost_ms(chunk_tokens)
-            stages[STAGE_FM_VOC] = (start, synth_done[STAGE_FM_VOC])
-        else:
-            fm_start = max(upstream, synth_done[STAGE_FM])
-            synth_done[STAGE_FM] = fm_start + timings.fm.cost_ms(chunk_tokens)
-            stages[STAGE_FM] = (fm_start, synth_done[STAGE_FM])
-            voc_start = max(synth_done[STAGE_FM], synth_done[STAGE_VOC])
-            synth_done[STAGE_VOC] = voc_start + timings.voc.cost_ms(mel_frames(chunk_tokens))
-            stages[STAGE_VOC] = (voc_start, synth_done[STAGE_VOC])
+        for k, (stage, cost) in enumerate(synthesis):
+            start = max(upstream, synth_done[k])
+            upstream = synth_done[k] = start + cost(chunk_tokens)
+            stages[stage] = (start, upstream)
 
-        timeline.chunks.append(
-            ChunkTiming(
-                index=j,
-                token_start=prev_tokens + 1,
-                token_end=token_end,
-                reads_total=reads_total,
-                stages=stages,
-            )
-        )
+        chunks.append(ChunkTiming(j, prev_tokens + 1, token_end, reads_total, stages))
         llm_start = llm_finish
         tts_prev = tts_cost
         prev_tokens = token_end
+    timeline = Timeline(scenario, chunks)
     timeline.validate()
     return timeline
 

@@ -58,6 +58,10 @@ def prefixed(prefix: str):
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+# The text dumps_canonical gives a str: quoted, with its ASCII escapes.
+quote = json.encoder.encode_basestring_ascii
+
+
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators."""
     return _CANONICAL.encode(obj)

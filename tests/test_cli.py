@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from streamvox import records
+from streamvox import datagen, records
 from streamvox.cli import OUT_DIR_ENV, build_parser, main, validate_config
 
 
@@ -321,6 +321,23 @@ def test_datagen_writes_corpus(tmp_path, capsys) -> None:
     assert code == 0
     rows = records.read_jsonl(path, schema="dialogue/v1")
     assert len(rows) == 5
+
+
+def test_datagen_stdout_and_file_hold_the_same_lines(tmp_path, capsys) -> None:
+    path = tmp_path / "corpus.jsonl"
+    assert run(capsys, "datagen", "--count", "4", "--seed", "2", "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "datagen", "--count", "4", "--seed", "2")
+    assert code == 0 and out == path.read_text(encoding="utf-8")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        d.to_record() for d in datagen.generate_corpus(4, 2)]
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_datagen_negative_seed_exits_one_naming_the_seed(tmp_path, capsys, monkeypatch, seed) -> None:
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "datagen", "--count", "2", "--seed", seed, "--out", "corpus.jsonl")
+    assert (code, out, err) == (1, "", f"error: seed must be a non-negative integer, got {seed}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

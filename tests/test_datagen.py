@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamvox import records
 from streamvox.datagen import (
     MAX_TURNS,
     MIN_TURNS,
-    ExternalServiceClient,
-    GenerationError,
+    DialogueRecord,
     StubGenerator,
     build_dialogue,
+    dialogue_line,
     generate_corpus,
     read_corpus,
     sample_turn_count,
@@ -118,82 +122,6 @@ def test_turn_count_override_validated() -> None:
         build_dialogue(StubGenerator(seed=1), rng, turn_count=6)
 
 
-def test_client_failure_carries_partial_transcript() -> None:
-    class FlakyClient:
-        def __init__(self):
-            self.calls = 0
-
-        def next_turn(self, history):
-            self.calls += 1
-            if self.calls >= 3:
-                raise RuntimeError("backend unavailable")
-            return f"turn {self.calls}", "ok"
-
-    rng = np.random.default_rng(19)
-    with pytest.raises(GenerationError) as info:
-        build_dialogue(FlakyClient(), rng, turn_count=5)
-    assert len(info.value.partial_turns) == 2
-    assert "2 completed turns" in str(info.value)
-
-
-def test_external_client_retries_then_succeeds() -> None:
-    attempts = []
-
-    def transport(request, timeout):
-        attempts.append(request["turn_index"])
-        if len(attempts) < 3:
-            raise TimeoutError("slow")
-        assert request["type"] == "turn_request"
-        assert timeout == 10.0
-        return {"instruction": f"turn {request['turn_index']}", "response": "fine"}
-
-    client = ExternalServiceClient(transport=transport, retries=2)
-    instruction, response = client.next_turn(())
-    assert instruction == "turn 1"
-    assert response == "fine"
-    assert len(attempts) == 3
-
-
-def test_external_client_exhausts_retries() -> None:
-    def transport(request, timeout):
-        raise ConnectionError("down")
-
-    client = ExternalServiceClient(transport=transport, retries=1)
-    with pytest.raises(RuntimeError, match="after 2 attempts"):
-        client.next_turn(())
-
-
-@pytest.mark.parametrize(
-    "reply", [["turn", "fine"], "turn", None, {"instruction": "turn"}, {"response": "fine"}]
-)
-def test_external_client_does_not_retry_malformed_replies(reply) -> None:
-    calls = []
-
-    def transport(request, timeout):
-        calls.append(request["turn_index"])
-        return reply
-
-    client = ExternalServiceClient(transport=transport, retries=2)
-    with pytest.raises(ValueError, match="malformed turn reply"):
-        client.next_turn(())
-    assert calls == [1]
-
-
-def test_external_client_sends_history() -> None:
-    seen = {}
-
-    def transport(request, timeout):
-        seen.update(request)
-        return {"instruction": "i", "response": "r"}
-
-    ExternalServiceClient(transport=transport).next_turn((("q1", "a1"), ("q2", "a2")))
-    assert seen["turn_index"] == 3
-    assert seen["history"] == [
-        {"instruction": "q1", "response": "a1"},
-        {"instruction": "q2", "response": "a2"},
-    ]
-
-
 # ---------------------------------------------------------------------------
 # corpus invariants and persistence
 
@@ -239,3 +167,83 @@ def test_malformed_corpus_line_is_reported(tmp_path) -> None:
         fh.write("{truncated\n")
     with pytest.raises(records.RecordFormatError, match="line 3"):
         read_corpus(path)
+
+
+# ---------------------------------------------------------------------------
+# the dialogue/v1 writer and the record's checks
+
+
+def dialogues_of(text):
+    """Valid dialogues whose ids and turn texts are drawn from ``text``."""
+    return st.builds(
+        DialogueRecord,
+        id=text,
+        voice_prompt_id=text,
+        response_voice_id=text,
+        turns=st.lists(st.tuples(text, text), min_size=MIN_TURNS, max_size=MAX_TURNS).map(tuple),
+    )
+
+
+# Every code point but the surrogates: quotes, backslashes, control and
+# format characters, non-BMP characters.
+UTF8_TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
+# Surrogates as well, paired or lone.  A high surrogate followed by a low one
+# is written as two escapes, which JSON reads back as one non-BMP character,
+# so such text does not read back as written.
+ANY_TEXT = st.text(st.characters(codec="utf-8") | st.characters(categories=["Cs"]), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dialogue=dialogues_of(ANY_TEXT))
+def test_dialogue_line_is_the_canonical_text_of_the_record(dialogue) -> None:
+    assert dialogue_line(dialogue) == records.dumps_canonical(dialogue.to_record())
+
+
+def test_dialogue_line_escapes_like_the_canonical_encoder() -> None:
+    dialogue = DialogueRecord('q"b\\s', "\x01\n\u2028", "\U0001F600é", (("\ud800", "</tag>"),))
+    assert dialogue_line(dialogue) == (
+        '{"id":"q\\"b\\\\s","response_voice_id":"\\ud83d\\ude00\\u00e9","schema":"dialogue/v1",'
+        '"turns":[{"instruction":"\\ud800","response":"</tag>"}],"voice_prompt_id":"\\u0001\\n\\u2028"}'
+    )
+    assert dialogue_line(dialogue) == records.dumps_canonical(dialogue.to_record())
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=st.lists(dialogues_of(UTF8_TEXT), max_size=4))
+def test_written_corpus_reads_back_as_written(corpus) -> None:
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "corpus.jsonl"
+        write_corpus(path, corpus)
+        assert read_corpus(path) == corpus
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"id": 7}, "id must be a string, got 7"),
+        ({"voice_prompt_id": None}, "voice_prompt_id must be a string, got None"),
+        ({"response_voice_id": b"r"}, "response_voice_id must be a string, got b'r'"),
+        ({"turns": (("a", "b"), ("c", 3))}, "turns[1].response must be a string, got 3"),
+        ({"turns": (("a", "b"), (True, "d"))}, "turns[1].instruction must be a string, got True"),
+        ({"turns": (("a", "b", "c"),)}, "turns[0] must be an (instruction, response) pair, got ('a', 'b', 'c')"),
+        ({"turns": ("ab",)}, "turns[0] must be an (instruction, response) pair, got 'ab'"),
+        ({"turns": ()}, f"turn count must lie in [{MIN_TURNS}, {MAX_TURNS}], got 0"),
+    ],
+)
+def test_dialogue_record_rejects_non_string_fields_by_name(fields, message) -> None:
+    valid = {"id": "d", "voice_prompt_id": "v", "response_voice_id": "r", "turns": (("a", "b"),)}
+    with pytest.raises(ValueError) as info:
+        DialogueRecord(**{**valid, **fields})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seed", [True, False, 2.0, "1", None, np.int64(3), -1])
+def test_corpus_seed_must_be_a_non_negative_int(seed) -> None:
+    with pytest.raises(ValueError) as info:
+        generate_corpus(1, seed)
+    assert str(info.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+
+def test_corpus_seed_zero_and_large_seeds_are_accepted() -> None:
+    assert generate_corpus(1, 0)[0].id == "dlg-0-000000"
+    assert generate_corpus(1, 2**70)[0].id == f"dlg-{2**70}-000000"

@@ -28,6 +28,7 @@ from streamvox.pipeline import (
     calibrate_affine,
     calibration_points,
     chunk_line,
+    chunk_lines,
     first_chunk_latency,
     mel_frames,
     read_write_sweep,
@@ -480,6 +481,60 @@ def test_chunk_line_sorts_stages_inserted_in_any_order() -> None:
         '"voc":[4.0,1e+16]},"token_end":6,"token_start":5}'
     )
     assert chunk_line(chunk) == dumps_canonical(chunk_record(chunk))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=simulation_cases())
+def test_chunk_lines_are_the_canonical_text_of_each_chunk_record(case) -> None:
+    timeline = simulate_stream(*case)
+    assert list(chunk_lines(timeline.chunks)) == [dumps_canonical(chunk_record(c)) for c in timeline.chunks]
+
+
+def distinct(x: float) -> float:
+    """A float equal to ``x`` (sign included) that is not the object ``x``."""
+    y = float(repr(x))
+    assert y is not x and repr(y) == repr(x)
+    return y
+
+
+# Values for starts and finishes; 0.0 and -0.0 compare equal.
+NEIGHBOURS = st.sampled_from([0.0, -0.0, 1.5, 1e16, 5e-324])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), count=st.integers(1, 4))
+def test_chunk_lines_reuse_text_by_identity_only(data, count) -> None:
+    """Hand-built chunks whose starts are the finish before them in the
+    chunk or their stage's finish in the previous chunk, a distinct float of
+    the same value, or another value (0.0 next to -0.0); stages inserted in
+    any order, and key sets that change between chunks."""
+    key_sets = [(STAGE_LLM, STAGE_TTS, STAGE_FM_VOC), (STAGE_LLM, STAGE_TTS, STAGE_FM, STAGE_VOC),
+                (STAGE_TTS, STAGE_VOC), ("zz", STAGE_LLM)]
+    chunks, previous = [], {}
+    for j in range(1, count + 1):
+        names = data.draw(st.permutations(data.draw(st.sampled_from(key_sets))))
+        finish = None
+        stages = {}
+        for name in sorted(names, key=lambda s: STAGES.index(s) if s in STAGES else len(STAGES)):
+            options = [data.draw(NEIGHBOURS)] + [x for x in (finish, previous.get(name)) if x is not None]
+            start = data.draw(st.sampled_from(options))
+            if data.draw(st.booleans()):
+                start = distinct(start)
+            finish = data.draw(st.sampled_from([start, data.draw(NEIGHBOURS)]))
+            stages[name] = (start, finish)
+        previous = {name: end for name, (_, end) in stages.items()}
+        chunks.append(ChunkTiming(j, j, j, j, {name: stages[name] for name in names}))
+    assert list(chunk_lines(chunks)) == [dumps_canonical(chunk_record(c)) for c in chunks]
+
+
+def test_chunk_lines_do_not_reuse_an_equal_value_of_another_sign() -> None:
+    zero, negative = 0.0, -0.0
+    chunks = [ChunkTiming(1, 1, 1, 1, {STAGE_LLM: (zero, negative), STAGE_TTS: (zero, zero)}),
+              ChunkTiming(2, 2, 2, 2, {STAGE_TTS: (negative, zero), STAGE_LLM: (zero, 1.0)})]
+    assert [line.split('"stages":')[1].split("},")[0] for line in chunk_lines(chunks)] == [
+        '{"llm":[0.0,-0.0],"tts":[0.0,0.0]',
+        '{"llm":[0.0,1.0],"tts":[-0.0,0.0]',
+    ]
 
 
 def hand_timeline(*chunk_stages: dict) -> Timeline:
