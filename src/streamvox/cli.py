@@ -93,6 +93,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
+    records.nonneg_int("seed", args.seed)
     policy = schedule.SchedulePolicy(args.R, args.W)
     if args.dataset:
         pairs = ttslm.load_pairs(args.dataset)
@@ -153,7 +154,7 @@ def validate_config(config: dict) -> list[str]:
     if "timing" in config:
         sections.append(("timing.", pipeline.StageTimings.from_record, config["timing"]))
     if "seed" in config:
-        sections.append(("seed: ", _parse_seed, config["seed"]))
+        sections.append(("", functools.partial(records.nonneg_int, "seed"), config["seed"]))
     violations: list[str] = []
     for prefix, parse, value in sections:
         try:
@@ -161,12 +162,6 @@ def validate_config(config: dict) -> list[str]:
         except ValueError as exc:
             violations.append(f"{prefix}{exc}")
     return violations
-
-
-def _parse_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"must be an integer, got {seed!r}")
-    return seed
 
 
 def _cmd_validate_config(args) -> int:

@@ -11,7 +11,9 @@ must be a non-negative int (not a bool).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import permutations, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,6 +27,8 @@ MAX_TURNS = 5
 DEFAULT_RESPONSE_VOICE = "response-voice-0"
 
 CORPUS_SCHEMA = "dialogue/v1"
+
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def sample_turn_count(rng: np.random.Generator) -> int:
@@ -61,6 +65,61 @@ _FOLLOWUPS = (
 )
 
 
+# The constants of numpy's SeedSequence (random/bit_generator.pyx: M. O'Neill's
+# seed_seq hash over a pool of 4 uint32 words) and of PCG64's pcg64_set_seed.
+# NumPy's compatibility policy (NEP 19) keeps the streams they seed fixed.
+_MASK32 = 2**32 - 1
+_HASH_INIT_A = 0x43B0D7E5
+_HASH_MULT_A = 0x931E8875
+_HASH_INIT_B = 0x8B51F9DD
+_HASH_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_BLOCK = 1024  # seeds per vectorized pass in generate_corpus
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
+    """``np.random.default_rng(s).bit_generator.state`` for each non-negative
+    int ``s``.  Seeds of one uint32 word count (0 is the one word ``[0]``) share
+    one hash over a ``(seeds, words)`` array; all wrapping is on uint32 arrays."""
+    const = _HASH_INIT_A
+
+    def hashmix(value: np.ndarray, mult: int = _HASH_MULT_A) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return x ^ x >> 16
+
+    groups: dict[int, list[int]] = {}
+    for k, seed in enumerate(seeds):
+        groups.setdefault((seed.bit_length() + 31) // 32 or 1, []).append(k)
+    states: list = [None] * len(seeds)
+    for width, ks in groups.items():
+        const = _HASH_INIT_A
+        flat = [seeds[k] >> 32 * j & _MASK32 for k in ks for j in range(width)]
+        entropy = np.array(flat, np.uint32).reshape(len(ks), width)
+        pool = [hashmix(entropy[:, i] if i < width else np.zeros(len(ks), np.uint32)) for i in range(4)]
+        for src, dst in permutations(range(4), 2):
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src, dst in product(range(4, width), range(4)):  # entropy beyond the pool
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+        const = _HASH_INIT_B  # generate_state(4, np.uint64): 8 words, little-endian pairs
+        words = np.stack([hashmix(pool[i % 4], _HASH_MULT_B) for i in range(8)], axis=1).astype(np.uint64)
+        halves = (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist()
+        for k, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(ks, halves):
+            inc = (inc_hi << 65 | inc_lo << 1 | 1) % 2**128
+            state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) % 2**128
+            states[k] = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+    return states
+
+
 @dataclass
 class StubGenerator:
     """Offline template-based generator; deterministic under a fixed seed."""
@@ -87,7 +146,8 @@ class StubGenerator:
 @dataclass(frozen=True)
 class DialogueRecord:
     """One multi-turn dialogue with its voice metadata; every id and turn
-    text must be a str, and errors name the field path."""
+    text must be a str holding no high surrogate followed by a low one (it
+    would not read back as written), and errors name the field path."""
 
     id: str
     voice_prompt_id: str
@@ -108,6 +168,13 @@ class DialogueRecord:
             raise ValueError(
                 f"turn count must lie in [{MIN_TURNS}, {MAX_TURNS}], got {len(self.turns)}"
             )
+        texts = [self.id, self.voice_prompt_id, self.response_voice_id, *[t for turn in self.turns for t in turn]]
+        if not "".join(texts).isascii():
+            names = ["id", "voice_prompt_id", "response_voice_id"]
+            names += [f"turns[{i}].{part}" for i in range(len(self.turns)) for part in ("instruction", "response")]
+            for name, text in zip(names, texts):
+                if _SURROGATE_PAIR.search(text):
+                    raise ValueError(f"{name} must not hold a high surrogate followed by a low one, got {text!r}")
 
     def to_record(self) -> dict:
         return {
@@ -177,17 +244,22 @@ def generate_corpus(
     seed: int,
     response_voice_id: str = DEFAULT_RESPONSE_VOICE,
 ) -> list[DialogueRecord]:
-    """Generate ``count`` dialogues, each from a stub generator seeded from
-    the corpus seed, a non-negative int."""
+    """Generate ``count`` dialogues from one stub generator, moved for
+    dialogue ``i`` to the start of ``StubGenerator(seed * 100003 + i)``'s
+    stream; the corpus seed is a non-negative int."""
     records.positive_int("count", count)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    records.nonneg_int("seed", seed)
     rng = np.random.default_rng(seed)
-    return [
-        build_dialogue(StubGenerator(seed=seed * 100003 + i), rng, dialogue_id=f"dlg-{seed}-{i:06d}",
-                       response_voice_id=response_voice_id)
-        for i in range(count)
-    ]
+    seeds = range(seed * 100003, seed * 100003 + count)
+    stub = StubGenerator(seed=seeds[0])
+    dialogues = []
+    for start in range(0, count, _STATE_BLOCK):
+        for i, state in enumerate(_pcg64_states(seeds[start:start + _STATE_BLOCK]), start):
+            stub.seed = seeds[i]
+            stub._rng.bit_generator.state = state
+            dialogues.append(build_dialogue(stub, rng, dialogue_id=f"dlg-{seed}-{i:06d}",
+                                            response_voice_id=response_voice_id))
+    return dialogues
 
 
 def write_corpus(path, dialogues: Sequence[DialogueRecord]) -> None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -162,18 +162,14 @@ class StageTimings:
         if separate == combined:
             raise ValueError("supply either fm and voc models, or a combined fm_voc model")
 
-    @property
-    def synthesis_stages(self) -> tuple[str, ...]:
-        return (STAGE_FM, STAGE_VOC) if self.fm_voc is None else (STAGE_FM_VOC,)
-
-    def synthesis_cost_ms(self, write_count: int) -> tuple[float, float | None, float | None]:
-        """(total, fm, voc) cost of synthesizing one chunk of ``write_count``
-        tokens; fm/voc are None under a combined model."""
+    def synthesis(self) -> list[tuple[str, Callable[[int], float]]]:
+        """The synthesis stages in pipeline order, each with its cost of a
+        chunk of tokens: the combined fm_voc model at the chunk's token
+        count, or fm at the token count then voc at its mel-frame count."""
         if self.fm_voc is not None:
-            return self.fm_voc.cost_ms(write_count), None, None
-        fm = self.fm.cost_ms(write_count)
-        voc = self.voc.cost_ms(mel_frames(write_count))
-        return fm + voc, fm, voc
+            return [(STAGE_FM_VOC, self.fm_voc.cost_ms)]
+        voc_cost = self.voc.cost_ms
+        return [(STAGE_FM, self.fm.cost_ms), (STAGE_VOC, lambda tokens: voc_cost(mel_frames(tokens)))]
 
     def to_records(self) -> list[dict]:
         models = [self.llm, self.tts] + (
@@ -353,7 +349,9 @@ def first_chunk_latency(timings: StageTimings, policy: SchedulePolicy) -> Latenc
     that overflows the float range raises ``ValueError``."""
     llm = timings.llm.cost_ms(policy.read_block)
     tts = timings.tts.cost_ms(policy.write_block)
-    synth, fm, voc = timings.synthesis_cost_ms(policy.write_block)
+    costs = {stage: cost(policy.write_block) for stage, cost in timings.synthesis()}
+    fm, voc = costs.get(STAGE_FM), costs.get(STAGE_VOC)
+    synth = costs[STAGE_FM_VOC] if STAGE_FM_VOC in costs else fm + voc
     total = llm + tts + synth
     if not math.isfinite(total):
         raise ValueError(f"first-chunk latency is not finite: llm {llm!r} + tts {tts!r} + synthesis {synth!r} ms")
@@ -380,12 +378,7 @@ def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline
     r, w = policy.read_block, policy.write_block
     chunk_count = (m + w - 1) // w
     llm_cost_ms, tts_cost_ms = timings.llm.cost_ms, timings.tts.cost_ms
-    # Synthesis stages in pipeline order, each with its cost of a chunk of tokens.
-    if timings.fm_voc is not None:
-        synthesis = [(STAGE_FM_VOC, timings.fm_voc.cost_ms)]
-    else:
-        voc_cost = timings.voc.cost_ms
-        synthesis = [(STAGE_FM, timings.fm.cost_ms), (STAGE_VOC, lambda tokens: voc_cost(mel_frames(tokens)))]
+    synthesis = timings.synthesis()
     synth_done = [0.0] * len(synthesis)
 
     chunks: list[ChunkTiming] = []

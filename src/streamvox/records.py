@@ -9,6 +9,7 @@ by an atomic rename, so failed runs never leave truncated outputs.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import sys
@@ -28,6 +29,13 @@ def positive_int(name: str, value) -> int:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if value > sys.maxsize:
         raise ValueError(f"{name} must be at most {sys.maxsize}, got {value!r}")
+    return value
+
+
+def nonneg_int(name: str, value) -> int:
+    """``value`` if it is an int >= 0 and not a bool; else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return value
 
 
@@ -72,9 +80,25 @@ def write_json(path, obj) -> None:
     _atomic_write(path, dumps_canonical(obj) + "\n")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+# read_json and read_jsonl decode through this one decoder, so NaN, Infinity
+# and numbers beyond the float range (1e400) are rejected where they enter.
+_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
+
+
 def read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return _DECODER.decode(text)
+    except ValueError as exc:
+        raise RecordFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def write_jsonl(path, rows: Iterable, encode: Callable[..., str] = dumps_canonical) -> None:
@@ -96,9 +120,9 @@ def read_jsonl(path, schema: str | None = None, parse: Callable | None = None) -
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                row = _DECODER.decode(line)
+            except ValueError as exc:
+                raise RecordFormatError(f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(row, dict):
                 raise RecordFormatError(f"{path}: line {lineno}: expected a JSON object")
             if schema is not None and row.get("schema") != schema:

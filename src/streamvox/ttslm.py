@@ -15,6 +15,7 @@ concatenated rows, with no padding: the only place the schedule mask is applied.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -53,8 +54,7 @@ class ExtendedVocab:
     speech_size: int = DEFAULT_SPEECH_SIZE
 
     def __post_init__(self) -> None:
-        if isinstance(self.text_size, bool) or not isinstance(self.text_size, int) or self.text_size < 0:
-            raise ValueError(f"text_size must be a non-negative integer, got {self.text_size!r}")
+        records.nonneg_int("text_size", self.text_size)
         records.positive_int("speech_size", self.speech_size)
 
     @property
@@ -354,10 +354,12 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("greedy", "sampled"):
             raise ValueError(f"mode must be 'greedy' or 'sampled', got {self.mode!r}")
+        if not (isinstance(self.temperature, numbers.Real) and abs(self.temperature) <= sys.float_info.max):
+            raise ValueError(f"temperature must be finite, got {self.temperature!r}")
         if self.mode == "sampled" and not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.max_tokens < 0:
-            raise ValueError(f"max_tokens must be >= 0, got {self.max_tokens}")
+        records.nonneg_int("max_tokens", self.max_tokens)
+        records.nonneg_int("seed", self.seed)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -340,6 +341,38 @@ def test_datagen_negative_seed_exits_one_naming_the_seed(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_toy_negative_seed_exits_one_naming_the_seed(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "train-toy", "--seed", "-1", "--epochs", "1", "--params-out", "p.tensors")
+    assert (code, out, err) == (1, "", "error: seed must be a non-negative integer, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# JSON text of numbers that are not finite: NaN and Infinity are not JSON
+# (RFC 8259), and 1e400 is beyond the float range.
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]
+
+
+@pytest.mark.parametrize("number", NON_FINITE)
+def test_non_finite_number_in_an_input_row_exits_one(tmp_path, capsys, monkeypatch, number) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.jsonl").write_text(
+        '{"schema": "latency-breakdown/v1", "total_ms": 1.5}\n'
+        f'{{"schema": "latency-breakdown/v1", "total_ms": {number}}}\n'
+    )
+    code, out, err = run(capsys, "eval", "--latency", "rows.jsonl", "--out", "report.json")
+    assert (code, out, err) == (1, "", f"error: rows.jsonl: line 2: invalid JSON ({number} is not a finite number)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+
+@pytest.mark.parametrize("number", NON_FINITE)
+def test_non_finite_number_in_an_input_document_exits_one(tmp_path, capsys, monkeypatch, number) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.json").write_text(f"[[1, 2.0],\n [2, {number}]]")
+    code, out, err = run(capsys, "calibrate", "--points", "points.json")
+    assert (code, out, err) == (1, "", f"error: points.json: invalid JSON ({number} is not a finite number)\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes, determinism, atomicity
 
@@ -489,9 +522,21 @@ def test_validate_config_flags_duplicate_lookup_counts(tmp_path, capsys) -> None
     assert any("duplicate" in v for v in json.loads(out)["violations"])
 
 
-@pytest.mark.parametrize("seed, violations", [(True, ["seed: must be an integer, got True"]), (7, [])])
+@pytest.mark.parametrize(
+    "seed, violations",
+    [
+        (True, ["seed must be a non-negative integer, got True"]),
+        (7, []),
+        (-1, ["seed must be a non-negative integer, got -1"]),
+        (2.0, ["seed must be a non-negative integer, got 2.0"]),
+        (0, []),
+    ],
+)
 def test_validate_config_checks_seed(seed, violations) -> None:
     assert validate_config({**good_config(), "seed": seed}) == violations
+    if violations:
+        with pytest.raises(ValueError, match=re.escape(violations[0])):
+            datagen.generate_corpus(1, seed)
 
 
 def test_validate_config_flags_duplicate_stage_models() -> None:

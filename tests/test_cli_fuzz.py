@@ -5,7 +5,8 @@ Every run must return an exit code in {0, 1, 2, 3} with no exception
 escaping.  A failure in a handler (exit 1 or 3) prints exactly one
 ``error:`` line; argparse's own failures (exit 2) print its usage and one
 error line.  ``validate-config`` reports violations on stdout, so its exit 1
-may leave stderr empty.  Integers stay small so that a run takes
+may leave stderr empty.  An input file that holds NaN or an infinity never
+gives exit 0.  Integers stay small so that a run takes
 milliseconds: the fuzz looks for unchecked values, not for scale.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -111,7 +113,9 @@ CONTENT = {
             lambda d: st.lists(st.lists(st.floats(-2, 2), min_size=d, max_size=d), min_size=1, max_size=4)
         ),
     )),
-    "latency": jsonl(record(schema=st.just("latency-breakdown/v1"), total_ms=cost)),
+    "latency": jsonl(record(
+        schema=st.just("latency-breakdown/v1"), total_ms=cost | st.sampled_from([math.nan, math.inf, -math.inf]),
+    )),
 }
 PRESETS = ("table7b", "table0.5b")
 # Any other file, an output path among them, holds one of these.
@@ -136,6 +140,14 @@ def option_value(draw, action: argparse.Action, files: dict):
         files[action.dest] = "".join(json.dumps(d) + "\n" for d in draw(CONTENT.get(action.dest, document(documents))))
     return f"@{action.dest}"
 
+
+
+def holds_non_finite(text: str) -> bool:
+    """Whether JSON lines written by ``json.dumps`` hold NaN or an infinity."""
+    found: list = []
+    for line in text.splitlines():
+        json.loads(line, parse_constant=found.append)
+    return bool(found)
 
 
 @st.composite
@@ -170,6 +182,8 @@ def test_cli_never_escapes(case) -> None:
             code = main(resolved)
         out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3), (argv, code)
+    if any(holds_non_finite(text) for name, text in files.items() if name in CONTENT):
+        assert code != 0, (argv, files)
     lines = err.splitlines()
     if code == 0:
         assert err == "", (argv, err)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamvox import records
+from streamvox import datagen, records
 from streamvox.datagen import (
     MAX_TURNS,
     MIN_TURNS,
@@ -173,28 +174,37 @@ def test_malformed_corpus_line_is_reported(tmp_path) -> None:
 # the dialogue/v1 writer and the record's checks
 
 
-def dialogues_of(text):
-    """Valid dialogues whose ids and turn texts are drawn from ``text``."""
-    return st.builds(
-        DialogueRecord,
-        id=text,
-        voice_prompt_id=text,
-        response_voice_id=text,
-        turns=st.lists(st.tuples(text, text), min_size=MIN_TURNS, max_size=MAX_TURNS).map(tuple),
-    )
+def fields_of(text):
+    """``DialogueRecord`` fields whose ids and turn texts are drawn from ``text``."""
+    return st.fixed_dictionaries({
+        "id": text,
+        "voice_prompt_id": text,
+        "response_voice_id": text,
+        "turns": st.lists(st.tuples(text, text), min_size=MIN_TURNS, max_size=MAX_TURNS).map(tuple),
+    })
 
 
-# Every code point but the surrogates: quotes, backslashes, control and
-# format characters, non-BMP characters.
-UTF8_TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
-# Surrogates as well, paired or lone.  A high surrogate followed by a low one
-# is written as two escapes, which JSON reads back as one non-BMP character,
-# so such text does not read back as written.
+def texts_of(fields: dict) -> list[str]:
+    ids = [fields["id"], fields["voice_prompt_id"], fields["response_voice_id"]]
+    return ids + [text for turn in fields["turns"] for text in turn]
+
+
+def holds_surrogate_pair(text: str) -> bool:
+    """Whether a high surrogate is followed by a low one in ``text``."""
+    return any(0xD800 <= ord(a) <= 0xDBFF and 0xDC00 <= ord(b) <= 0xDFFF for a, b in zip(text, text[1:]))
+
+
+# Every code point, surrogates included, paired or lone: quotes,
+# backslashes, control and format characters, non-BMP characters.  A high
+# surrogate followed by a low one is written as two escapes, which JSON reads
+# back as one non-BMP character, so a record holding one is rejected.
 ANY_TEXT = st.text(st.characters(codec="utf-8") | st.characters(categories=["Cs"]), max_size=12)
+# The text a record may hold.
+RECORD_TEXT = ANY_TEXT.filter(lambda text: not holds_surrogate_pair(text))
 
 
 @settings(max_examples=80, deadline=None)
-@given(dialogue=dialogues_of(ANY_TEXT))
+@given(dialogue=fields_of(RECORD_TEXT).map(lambda fields: DialogueRecord(**fields)))
 def test_dialogue_line_is_the_canonical_text_of_the_record(dialogue) -> None:
     assert dialogue_line(dialogue) == records.dumps_canonical(dialogue.to_record())
 
@@ -208,13 +218,45 @@ def test_dialogue_line_escapes_like_the_canonical_encoder() -> None:
     assert dialogue_line(dialogue) == records.dumps_canonical(dialogue.to_record())
 
 
-@settings(max_examples=60, deadline=None)
-@given(corpus=st.lists(dialogues_of(UTF8_TEXT), max_size=4))
+@settings(max_examples=80, deadline=None)
+@given(corpus=st.lists(fields_of(ANY_TEXT), max_size=4))
 def test_written_corpus_reads_back_as_written(corpus) -> None:
+    dialogues = []
+    for fields in corpus:
+        if any(holds_surrogate_pair(text) for text in texts_of(fields)):
+            with pytest.raises(ValueError, match="must not hold a high surrogate followed by a low one"):
+                DialogueRecord(**fields)
+        else:
+            dialogues.append(DialogueRecord(**fields))
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "corpus.jsonl"
-        write_corpus(path, corpus)
-        assert read_corpus(path) == corpus
+        write_corpus(path, dialogues)
+        assert read_corpus(path) == dialogues
+
+
+HIGH, LOW = chr(0xD800), chr(0xDC00)  # one high and one low surrogate
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"id": HIGH + LOW}, "id"),
+        ({"voice_prompt_id": "é" + HIGH + LOW + "x"}, "voice_prompt_id"),
+        ({"turns": (("a", "b"), ("c", "é" + HIGH + LOW))}, "turns[1].response"),
+    ],
+    ids=["id", "voice_prompt_id", "turn"],
+)
+def test_dialogue_record_rejects_a_surrogate_pair_by_name(fields, name) -> None:
+    valid = {"id": "d", "voice_prompt_id": "v", "response_voice_id": "r", "turns": (("a", "b"), ("c", "e"))}
+    text = fields["turns"][1][1] if name.startswith("turns") else fields[name]
+    with pytest.raises(ValueError) as info:
+        DialogueRecord(**{**valid, **fields})
+    assert str(info.value) == f"{name} must not hold a high surrogate followed by a low one, got {text!r}"
+
+
+def test_lone_surrogates_read_back_as_written() -> None:
+    dialogue = DialogueRecord(LOW + HIGH, HIGH, "r", ((HIGH + "x" + LOW, LOW),))
+    assert DialogueRecord.from_record(json.loads(dialogue_line(dialogue))) == dialogue
 
 
 @pytest.mark.parametrize(
@@ -247,3 +289,62 @@ def test_corpus_seed_must_be_a_non_negative_int(seed) -> None:
 def test_corpus_seed_zero_and_large_seeds_are_accepted() -> None:
     assert generate_corpus(1, 0)[0].id == "dlg-0-000000"
     assert generate_corpus(1, 2**70)[0].id == f"dlg-{2**70}-000000"
+
+
+# ---------------------------------------------------------------------------
+# the per-dialogue stub streams
+
+
+def seeds_of_width(words: int):
+    """Non-negative ints of exactly ``words`` uint32 words; 0 is one word."""
+    return st.integers(0 if words == 1 else 2 ** (32 * (words - 1)), 2 ** (32 * words) - 1)
+
+
+BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds=st.lists(st.integers(1, 7).flatmap(seeds_of_width) | st.sampled_from(BOUNDARY_SEEDS), min_size=1,
+                     max_size=12))
+def test_vectorized_states_equal_default_rng_states(seeds) -> None:
+    assert datagen._pcg64_states(seeds) == [np.random.default_rng(s).bit_generator.state for s in seeds]
+
+
+@pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+def test_vectorized_state_at_a_word_boundary(seed) -> None:
+    assert datagen._pcg64_states([seed]) == [np.random.default_rng(seed).bit_generator.state]
+
+
+def test_vectorized_states_of_a_batch_mixing_word_counts() -> None:
+    seeds = [*BOUNDARY_SEEDS, 10**30, 10**60, 7, 2**200 + 5, 0]
+    assert datagen._pcg64_states(seeds) == [np.random.default_rng(s).bit_generator.state for s in seeds]
+
+
+def reference_corpus(count: int, seed: int) -> list[DialogueRecord]:
+    """The corpus built with one ``StubGenerator`` per dialogue."""
+    rng = np.random.default_rng(seed)
+    return [build_dialogue(StubGenerator(seed * 100003 + i), rng, dialogue_id=f"dlg-{seed}-{i:06d}")
+            for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "count, seed",
+    [(40, 0), (40, 42950), (40, 2**40), (40, 2**63 - 1), (40, 10**30), (40, 10**60), (datagen._STATE_BLOCK + 3, 7)],
+)
+def test_corpus_draws_each_dialogue_from_its_own_stub_stream(count, seed) -> None:
+    assert generate_corpus(count, seed) == reference_corpus(count, seed)
+
+
+def test_corpus_builds_its_stub_through_the_module_name(monkeypatch) -> None:
+    seeds = []
+
+    class RecordingStub(StubGenerator):
+        def next_turn(self, history):
+            seeds.append(self.seed)
+            return super().next_turn(history)
+
+    monkeypatch.setattr(datagen, "StubGenerator", RecordingStub)
+    corpus = generate_corpus(30, 11)
+    assert corpus == reference_corpus(30, 11)
+    # One next_turn per turn, each from the stub named by its dialogue's seed.
+    assert seeds == [11 * 100003 + i for i, dialogue in enumerate(corpus) for _ in dialogue.turns]

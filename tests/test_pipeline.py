@@ -292,7 +292,7 @@ def reference_simulate(scenario: ScenarioConfig, timings: StageTimings) -> Timel
 
     timeline = Timeline(scenario=scenario)
     tts_done = 0.0
-    synth_done = {stage: 0.0 for stage in timings.synthesis_stages}
+    synth_done = {stage: 0.0 for stage, _ in timings.synthesis()}
     prev_reads = 0
     prev_tokens = 0
     for j in range(1, chunk_count + 1):

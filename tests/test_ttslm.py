@@ -527,6 +527,33 @@ def test_decode_config_validation() -> None:
         DecodeConfig(mode="beam")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
+        ({"max_tokens": True}, "max_tokens must be a non-negative integer, got True"),
+        ({"max_tokens": 2.5}, "max_tokens must be a non-negative integer, got 2.5"),
+        ({"max_tokens": -1}, "max_tokens must be a non-negative integer, got -1"),
+        ({"temperature": math.inf}, "temperature must be finite, got inf"),
+        ({"temperature": -math.inf, "mode": "greedy"}, "temperature must be finite, got -inf"),
+        ({"temperature": math.nan, "mode": "greedy"}, "temperature must be finite, got nan"),
+        ({"temperature": 10**400}, f"temperature must be finite, got {10**400!r}"),
+        ({"temperature": "1.0"}, "temperature must be finite, got '1.0'"),
+    ],
+)
+def test_decode_config_names_the_bad_field(fields, message) -> None:
+    with pytest.raises(ValueError) as info:
+        DecodeConfig(**{"mode": "sampled", **fields})
+    assert str(info.value) == message
+
+
+def test_decode_config_accepts_zero_seed_and_tokens() -> None:
+    assert DecodeConfig(mode="sampled", max_tokens=0, seed=0).seed == 0
+    assert DecodeConfig(seed=2**70).seed == 2**70
+
+
 def test_decode_record_round_trips_trace() -> None:
     policy = SchedulePolicy(3, 10)
     C = np.zeros((5, 4))
