@@ -37,7 +37,7 @@ def _emit(args, payload: dict) -> None:
     if getattr(args, "out", None):
         records.write_json(_resolve_out(args.out), payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) if args.pretty else records.dumps_canonical(payload)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) if args.pretty else records.dumps_canonical(payload)
         print(text)
 
 

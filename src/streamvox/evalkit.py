@@ -194,12 +194,27 @@ def qa_item(row: Mapping) -> tuple[str, list[str], float | None, float | None]:
     return (records.string("response", row.get("response")), answers, *scores)
 
 
+def latency_row(row: Mapping) -> Mapping:
+    """Check one ``latency-breakdown/v1`` row and return it unchanged.
+    ``total_ms`` is required; it and any present ``llm_ms``, ``tts_ms`` or
+    ``fm_voc_ms`` must be finite and non-negative, and ``fm_ms`` and
+    ``voc_ms`` may also be null."""
+    records.finite_nonneg("total_ms", row.get("total_ms"))
+    for key in ("llm_ms", "tts_ms", "fm_voc_ms"):
+        if key in row:
+            records.finite_nonneg(key, row[key])
+    for key in ("fm_ms", "voc_ms"):
+        if row.get(key) is not None:
+            records.finite_nonneg(key, row[key])
+    return row
+
+
 def report_from_files(
     wer_path=None, qa_path=None, latency_path=None
 ) -> MetricReport:
     wer_items = records.read_jsonl(wer_path, schema="wer-item/v1", parse=wer_item) if wer_path else []
     qa = records.read_jsonl(qa_path, schema="qa-item/v1", parse=qa_item) if qa_path else []
-    latency = records.read_jsonl(latency_path, schema="latency-breakdown/v1") if latency_path else []
+    latency = records.read_jsonl(latency_path, schema="latency-breakdown/v1", parse=latency_row) if latency_path else []
     return aggregate_report(
         wer_items=wer_items,
         qa_items=[(response, answers) for response, answers, _, _ in qa],

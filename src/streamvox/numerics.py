@@ -387,21 +387,27 @@ def finite_diff_check(loss_and_grad, theta: np.ndarray, eps: float, loss_fn=None
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write a tensors-v1 file atomically (write-then-rename)."""
+    """Write a tensors-v1 file atomically (write-then-rename).  A meta
+    holding NaN or an infinity raises a ValueError before any file is written."""
     entries = [{"name": name, "shape": list(np.shape(t))} for name, t in tensors.items()]
-    header = json.dumps({"tensors": entries, "meta": meta or {}}, sort_keys=True).encode("utf-8")
+    header = json.dumps({"tensors": entries, "meta": meta or {}}, sort_keys=True, allow_nan=False).encode("utf-8")
     payloads = [np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors.values()]
     records._atomic_write(path, b"".join([_TENSOR_MAGIC, header, b"\n", *payloads]))
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a whole tensors-v1 file; a malformed header, or a short or
-    over-long payload, raises a ValueError."""
+    over-long payload, raises a ValueError.  The header is decoded by
+    ``records.DECODER``, which rejects NaN, Infinity and out-of-range numbers."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _TENSOR_MAGIC:
             raise ValueError(f"not a tensors-v1 file: bad magic {magic!r}")
-        shapes, meta = _parse_tensor_header(json.loads(fh.readline().decode("utf-8")))
+        try:
+            header = records.DECODER.decode(fh.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise records.RecordFormatError(f"{path}: invalid tensors-v1 header ({exc})") from exc
+        shapes, meta = _parse_tensor_header(header)
         payload = fh.read()
     tensors: dict[str, np.ndarray] = {}
     offset = 0

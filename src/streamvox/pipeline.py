@@ -208,15 +208,6 @@ class ScenarioConfig:
         positive_int("n_text", self.n_text)
         positive_int("m_speech", self.m_speech)
 
-    def to_record(self) -> dict:
-        return {
-            "schema": "scenario/v1",
-            "read_block": self.policy.read_block,
-            "write_block": self.policy.write_block,
-            "n_text": self.n_text,
-            "m_speech": self.m_speech,
-        }
-
 
 @dataclass(frozen=True)
 class LatencyBreakdown:
@@ -297,11 +288,6 @@ def chunk_lines(chunks: Iterable[ChunkTiming]) -> Iterator[str]:
             parts[k] = f"{head}{start_text},{upstream_text}]"
         yield (f'{{"chunk":{chunk.index!r},"reads_total":{chunk.reads_total!r},"schema":"timeline-chunk/v1",'
                f'"stages":{{{",".join(parts)}}},"token_end":{chunk.token_end!r},"token_start":{chunk.token_start!r}}}')
-
-
-def chunk_line(chunk: ChunkTiming) -> str:
-    """One chunk's line: the one-chunk case of :func:`chunk_lines`."""
-    return next(chunk_lines((chunk,)))
 
 
 @dataclass

@@ -63,7 +63,7 @@ def prefixed(prefix: str):
         raise RecordFormatError(f"{prefix}{exc}") from exc
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 # The text dumps_canonical gives a str: quoted, with its ASCII escapes.
@@ -71,12 +71,14 @@ quote = json.encoder.encode_basestring_ascii
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators."""
+    """Deterministic JSON text: sorted keys, fixed separators.  NaN or an
+    infinity raises a ValueError."""
     return _CANONICAL.encode(obj)
 
 
 def write_json(path, obj) -> None:
-    """Write one JSON document atomically (write-then-rename)."""
+    """Write one JSON document atomically (write-then-rename); a document
+    :func:`dumps_canonical` rejects leaves no file."""
     _atomic_write(path, dumps_canonical(obj) + "\n")
 
 
@@ -87,16 +89,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# read_json and read_jsonl decode through this one decoder, so NaN, Infinity
-# and numbers beyond the float range (1e400) are rejected where they enter.
-_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
+# Every JSON input (read_json, read_jsonl, the tensors-v1 header) is decoded
+# through this one decoder, so NaN, Infinity and numbers beyond the float
+# range (1e400) are rejected where they enter.
+DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
 def read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return _DECODER.decode(text)
+        return DECODER.decode(text)
     except ValueError as exc:
         raise RecordFormatError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -120,7 +123,7 @@ def read_jsonl(path, schema: str | None = None, parse: Callable | None = None) -
             if not line.strip():
                 continue
             try:
-                row = _DECODER.decode(line)
+                row = DECODER.decode(line)
             except ValueError as exc:
                 raise RecordFormatError(f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(row, dict):

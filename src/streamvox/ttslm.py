@@ -399,12 +399,10 @@ def decode_stream(
     width = n = 0
     tokens: list[int] = []
     trace: list[Action] = []
-    exhausted = False
-
-    def read_block() -> int:
-        nonlocal width, n, exhausted
+    exhausted = done = False
+    while not done:
         got = 0
-        while got < policy.read_block:
+        while got < policy.read_block and not exhausted:
             try:
                 vec = np.asarray(next(it), dtype=float)
             except StopIteration:
@@ -420,16 +418,10 @@ def decode_stream(
             width = len(vec)
             n += 1
             got += 1
-        return got
-
-    got = read_block()
-    if got:
-        trace.append(Action(READ, got))
-    if not n:
-        raise ValueError("stream delivered no fused representations")
-
-    done = False
-    while not done:
+        if got:
+            trace.append(Action(READ, got))
+        if not n:
+            raise ValueError("stream delivered no fused representations")
         wrote = 0
         while wrote < policy.write_block and len(tokens) < config.max_tokens:
             token = _choose_token(session.logits(tokens), config, rng)
@@ -445,10 +437,6 @@ def decode_stream(
             trace.append(Action(WRITE, wrote))
         if len(tokens) >= config.max_tokens:
             done = True
-        if not done and not exhausted:
-            got = read_block()
-            if got:
-                trace.append(Action(READ, got))
     return DecodeResult(tokens=tokens, trace=trace, reps_read=n)
 
 

@@ -365,6 +365,26 @@ def test_non_finite_number_in_an_input_row_exits_one(tmp_path, capsys, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ('{"schema": "latency-breakdown/v1", "total_ms": true, "llm_ms": "abc"}',
+         "total_ms must be finite and non-negative, got True"),
+        ('{"schema": "latency-breakdown/v1", "total_ms": 1.0, "llm_ms": "abc"}',
+         "llm_ms must be finite and non-negative, got 'abc'"),
+        ('{"schema": "latency-breakdown/v1", "llm_ms": 1.0}', "total_ms must be finite and non-negative, got None"),
+        ('{"schema": "latency-breakdown/v1", "total_ms": 1.0, "fm_ms": -2}',
+         "fm_ms must be finite and non-negative, got -2"),
+    ],
+)
+def test_malformed_latency_row_exits_one_naming_the_field(tmp_path, capsys, monkeypatch, row, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.jsonl").write_text('{"schema": "latency-breakdown/v1", "total_ms": 1.5}\n' + row + "\n")
+    code, out, err = run(capsys, "eval", "--latency", "rows.jsonl", "--out", "report.json")
+    assert (code, out, err) == (1, "", f"error: rows.jsonl: line 2: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+
 @pytest.mark.parametrize("number", NON_FINITE)
 def test_non_finite_number_in_an_input_document_exits_one(tmp_path, capsys, monkeypatch, number) -> None:
     monkeypatch.chdir(tmp_path)

@@ -615,6 +615,31 @@ def test_tensor_file_header_bounds(tmp_path) -> None:
         load_tensors(path)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_tensor_file_save_rejects_non_finite_meta_and_writes_nothing(tmp_path, bad) -> None:
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_tensors(tmp_path / "p.tensors", {"a": np.zeros(2)}, meta={"lr": bad})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tensor_file_header_bytes_are_sorted_json(tmp_path) -> None:
+    path = tmp_path / "p.tensors"
+    save_tensors(path, {"w": np.zeros((1, 2))}, meta={"lr": 0.5, "kind": "x"})
+    assert path.read_bytes().split(b"\n")[1] == (
+        b'{"meta": {"kind": "x", "lr": 0.5}, "tensors": [{"name": "w", "shape": [1, 2]}]}'
+    )
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_tensor_file_header_with_a_non_finite_number_is_rejected(tmp_path, number) -> None:
+    path = tmp_path / "bad.tensors"
+    text = '{"meta": {"lr": %s}, "tensors": [{"name": "a", "shape": [2]}]}' % number
+    path.write_bytes(b"#tensors-v1\n" + text.encode("utf-8") + b"\n" + ONE)
+    with pytest.raises(ValueError) as info:
+        load_tensors(path)
+    assert str(info.value) == f"{path}: invalid tensors-v1 header ({number} is not a finite number)"
+
+
 def test_tensor_file_rejects_bad_magic(tmp_path) -> None:
     path = tmp_path / "bogus.tensors"
     path.write_bytes(b"not a tensor file\n")

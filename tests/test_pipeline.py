@@ -27,7 +27,6 @@ from streamvox.pipeline import (
     Timeline,
     calibrate_affine,
     calibration_points,
-    chunk_line,
     chunk_lines,
     first_chunk_latency,
     mel_frames,
@@ -461,6 +460,15 @@ def simulation_cases(draw) -> tuple[ScenarioConfig, StageTimings]:
     return ScenarioConfig(policy=SchedulePolicy(r, w), n_text=n_text, m_speech=m_speech), timings
 
 
+def test_chunk_line_sorts_stages_inserted_in_any_order() -> None:
+    chunk = ChunkTiming(3, 5, 6, 2, {STAGE_VOC: (4.0, 1e16), STAGE_LLM: (-0.0, 1.5), STAGE_FM: (2.0, 3.0)})
+    assert next(chunk_lines([chunk])) == (
+        '{"chunk":3,"reads_total":2,"schema":"timeline-chunk/v1","stages":{"fm":[2.0,3.0],"llm":[-0.0,1.5],'
+        '"voc":[4.0,1e+16]},"token_end":6,"token_start":5}'
+    )
+    assert next(chunk_lines([chunk])) == dumps_canonical(chunk_record(chunk))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=simulation_cases())
 @example(case=(ScenarioConfig(SchedulePolicy(2, 3), n_text=5, m_speech=11), StageTimings(
@@ -469,22 +477,6 @@ def simulation_cases(draw) -> tuple[ScenarioConfig, StageTimings]:
 @example(case=(ScenarioConfig(SchedulePolicy(1, 2), n_text=3, m_speech=5), StageTimings(
     llm=lookup(STAGE_LLM, [-0.0, -0.0, 1e17]), tts=lookup(STAGE_TTS, [0.1, 0.2, 2e16, 2e16, 3e16]),
     fm_voc=lookup(STAGE_FM_VOC, [-0.0, 7.0]))))
-def test_chunk_line_is_the_canonical_text_of_the_chunk_record(case) -> None:
-    timeline = simulate_stream(*case)
-    assert [chunk_line(c) for c in timeline.chunks] == [dumps_canonical(chunk_record(c)) for c in timeline.chunks]
-
-
-def test_chunk_line_sorts_stages_inserted_in_any_order() -> None:
-    chunk = ChunkTiming(3, 5, 6, 2, {STAGE_VOC: (4.0, 1e16), STAGE_LLM: (-0.0, 1.5), STAGE_FM: (2.0, 3.0)})
-    assert chunk_line(chunk) == (
-        '{"chunk":3,"reads_total":2,"schema":"timeline-chunk/v1","stages":{"fm":[2.0,3.0],"llm":[-0.0,1.5],'
-        '"voc":[4.0,1e+16]},"token_end":6,"token_start":5}'
-    )
-    assert chunk_line(chunk) == dumps_canonical(chunk_record(chunk))
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=simulation_cases())
 def test_chunk_lines_are_the_canonical_text_of_each_chunk_record(case) -> None:
     timeline = simulate_stream(*case)
     assert list(chunk_lines(timeline.chunks)) == [dumps_canonical(chunk_record(c)) for c in timeline.chunks]

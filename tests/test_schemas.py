@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from streamvox import records
 from streamvox.datagen import DialogueRecord
-from streamvox.evalkit import normalize, qa_item, wer_item
-from streamvox.pipeline import STAGES, StageTimingModel, StageTimings, parse_point
+from streamvox.evalkit import latency_row, normalize, qa_item, wer_item
+from streamvox.pipeline import STAGES, LatencyBreakdown, StageTimingModel, StageTimings, parse_point
 from streamvox.schedule import SchedulePolicy
 from streamvox.ttslm import pair_from_record
 
@@ -87,6 +87,12 @@ def test_qa_item_round_trip(response, answers, judge, mos) -> None:
     assert qa_item(json_trip(row)) == (response, answers, judge, mos)
 
 
+@given(costs=st.tuples(COSTS, COSTS, COSTS, COSTS), fm=st.none() | COSTS, voc=st.none() | COSTS)
+def test_latency_row_round_trip(costs, fm, voc) -> None:
+    row = LatencyBreakdown(*costs, fm_ms=fm, voc_ms=voc).to_record()
+    assert latency_row(json_trip(row)) == row
+
+
 @given(
     fused=st.integers(1, 4).flatmap(lambda d: st.lists(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d), min_size=1, max_size=4)),
@@ -130,6 +136,10 @@ PARSERS = {
     "wer-item/v1": (wer_item, lambda: {"schema": "wer-item/v1", "reference": "a b", "hypothesis": "a"}),
     "qa-item/v1": (qa_item, lambda: {
         "schema": "qa-item/v1", "response": "paris", "answers": ["Paris"], "judge_score": 4.5, "mos": 4.0,
+    }),
+    "latency-breakdown/v1": (latency_row, lambda: {
+        "schema": "latency-breakdown/v1", "llm_ms": 164.3, "tts_ms": 16.7, "fm_ms": 150.0, "voc_ms": 33.4,
+        "fm_voc_ms": 183.4, "total_ms": 364.4,
     }),
     "fused-pairs/v1": (pair_from_record, lambda: {
         "schema": "fused-pairs/v1", "fused": [[0.5, -1.0], [2.0, 0.0]], "tokens": [3, 1],
@@ -176,6 +186,12 @@ MUTATIONS = [
     ("dialogue/v1", ("turns",), "turns"),
     ("dialogue/v1", ("turns", 1), "turns[1]"),
     ("dialogue/v1", ("turns", 1, "response"), "turns[1].response"),
+    ("latency-breakdown/v1", ("llm_ms",), "llm_ms"),
+    ("latency-breakdown/v1", ("tts_ms",), "tts_ms"),
+    ("latency-breakdown/v1", ("fm_ms",), "fm_ms"),
+    ("latency-breakdown/v1", ("voc_ms",), "voc_ms"),
+    ("latency-breakdown/v1", ("fm_voc_ms",), "fm_voc_ms"),
+    ("latency-breakdown/v1", ("total_ms",), "total_ms"),
 ]
 
 
@@ -198,11 +214,12 @@ def test_mutated_field_is_rejected_by_name(schema, path, named, bad) -> None:
 
 
 @BAD
-@pytest.mark.parametrize("schema", ["wer-item/v1", "qa-item/v1", "fused-pairs/v1", "dialogue/v1"])
+@pytest.mark.parametrize("schema", ["wer-item/v1", "qa-item/v1", "latency-breakdown/v1", "fused-pairs/v1", "dialogue/v1"])
 def test_mutated_row_schema_is_rejected_by_the_reader(schema, bad, tmp_path) -> None:
     parse, valid = PARSERS[schema]
     path = tmp_path / "rows.jsonl"
-    records.write_jsonl(path, [valid(), {**valid(), "schema": bad}])
+    # json.dumps, unlike the canonical encoder, writes NaN and Infinity.
+    path.write_text("".join(json.dumps(row) + "\n" for row in [valid(), {**valid(), "schema": bad}]))
     # NaN and Infinity are rejected as they are decoded, before the schema check.
     if isinstance(bad, float):
         message = r"line 2: invalid JSON \((NaN|Infinity) is not a finite number\)"
@@ -219,14 +236,35 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _text_or_error(encode, value):
+    try:
+        return encode(value)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=200, deadline=None)
 @given(value=JSON_VALUES)
 def test_canonical_text_is_sorted_compact_json(value) -> None:
-    assert records.dumps_canonical(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    # Values holding NaN or an infinity raise the same error as json.dumps with allow_nan=False.
+    expected = _text_or_error(lambda v: json.dumps(v, sort_keys=True, separators=(",", ":"), allow_nan=False), value)
+    assert _text_or_error(records.dumps_canonical, value) == expected
 
 
 def test_canonical_text_of_special_values() -> None:
-    value = {"z": [math.nan, math.inf, -math.inf, -0.0], "é": "ü\u2028\ud800", "a": {"b": 1, "a": [{"y": 2, "x": 1}]}}
+    value = {"z": [-0.0, 1e308], "é": "ü\u2028\ud800", "a": {"b": 1, "a": [{"y": 2, "x": 1}]}}
     text = records.dumps_canonical(value)
     assert text == json.dumps(value, sort_keys=True, separators=(",", ":"))
-    assert text == '{"a":{"a":[{"x":1,"y":2}],"b":1},"z":[NaN,Infinity,-Infinity,-0.0],"\\u00e9":"\\u00fc\\u2028\\ud800"}'
+    assert text == '{"a":{"a":[{"x":1,"y":2}],"b":1},"z":[-0.0,1e+308],"\\u00e9":"\\u00fc\\u2028\\ud800"}'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            records.dumps_canonical({"z": [-0.0, bad]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_write_json_rejects_non_finite_numbers_and_writes_nothing(tmp_path, bad) -> None:
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        records.write_json(tmp_path / "doc.json", {"v": bad})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        records.write_jsonl(tmp_path / "rows.jsonl", [{"v": 1.0}, {"v": bad}])
+    assert list(tmp_path.iterdir()) == []

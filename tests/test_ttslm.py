@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamvox.numerics import (
@@ -20,7 +20,7 @@ from streamvox.numerics import (
     softmax,
     unpack_arrays,
 )
-from streamvox.schedule import READ, WRITE, Action, SchedulePolicy, validate_sequence, visible_prefix
+from streamvox.schedule import READ, WRITE, Action, SchedulePolicy, build_sequence, validate_sequence, visible_prefix
 from streamvox.ttslm import (
     DecodeConfig,
     ExtendedVocab,
@@ -497,6 +497,48 @@ def test_decode_trace_satisfies_schedule_invariants() -> None:
             model = SpeechOnlyModel(VOCAB, stop_after=stop_after)
             result = decode_stream(iter(C), policy, model, DecodeConfig(max_tokens=11))
             validate_sequence(result.trace, result.reps_read, len(result.tokens), policy)
+
+
+@dataclass
+class SessionStub:
+    """:class:`SpeechOnlyModel` behind a ``session()``: the session keeps its
+    rows in a list and stacks them for every step."""
+
+    inner: SpeechOnlyModel
+
+    @property
+    def vocab(self) -> ExtendedVocab:
+        return self.inner.vocab
+
+    def session(self):
+        rows: list = []
+        return SimpleNamespace(extend=rows.append, logits=lambda prev_ids: self.inner.logits(np.vstack(rows), prev_ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    read=st.integers(1, 6),
+    write=st.integers(1, 6),
+    n=st.integers(1, 30),
+    max_tokens=st.integers(0, 60),
+    eos_at=st.none() | st.integers(0, 60),
+    session=st.booleans(),
+)
+# max_tokens=0 reads one block; an EOS that fills a write block reads nothing more.
+@example(read=2, write=3, n=5, max_tokens=0, eos_at=None, session=False)
+@example(read=2, write=3, n=9, max_tokens=60, eos_at=5, session=True)
+def test_decode_cadence_is_the_schedule_of_its_lengths(read, write, n, max_tokens, eos_at, session) -> None:
+    policy = SchedulePolicy(read, write)
+    stub = SpeechOnlyModel(VOCAB, stop_after=10**9 if eos_at is None else eos_at)
+    model = SessionStub(stub) if session else stub
+    C = np.random.default_rng(n).standard_normal((n, 3))
+    result = decode_stream(iter(C), policy, model, DecodeConfig(max_tokens=max_tokens))
+    written = len(result.tokens)
+    assert written == (max_tokens if eos_at is None else min(max_tokens, eos_at + 1))
+    assert result.trace == build_sequence(result.reps_read, written, policy)
+    validate_sequence(result.trace, result.reps_read, written, policy)
+    # One read block per write block, and none after the block that ends decoding.
+    assert result.reps_read == min(n, read * max(1, -(-written // write)))
 
 
 def test_decode_rejects_text_emitting_model() -> None:
