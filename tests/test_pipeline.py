@@ -460,6 +460,19 @@ def simulation_cases(draw) -> tuple[ScenarioConfig, StageTimings]:
     return ScenarioConfig(policy=SchedulePolicy(r, w), n_text=n_text, m_speech=m_speech), timings
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=simulation_cases())
+@example(case=(ScenarioConfig(SchedulePolicy(2, 3), n_text=5, m_speech=11), StageTimings(
+    llm=StageTimingModel.affine(STAGE_LLM, -0.0, 3e15), tts=StageTimingModel.affine(STAGE_TTS, 0.5, 1e16),
+    fm=StageTimingModel.affine(STAGE_FM, -0.0, -0.0), voc=StageTimingModel.affine(STAGE_VOC, 1e-310, 0.25))))
+@example(case=(ScenarioConfig(SchedulePolicy(1, 2), n_text=3, m_speech=5), StageTimings(
+    llm=lookup(STAGE_LLM, [-0.0, -0.0, 1e17]), tts=lookup(STAGE_TTS, [0.1, 0.2, 2e16, 2e16, 3e16]),
+    fm_voc=lookup(STAGE_FM_VOC, [-0.0, 7.0]))))
+def test_chunk_line_is_the_canonical_text_of_the_chunk_record(case) -> None:
+    timeline = simulate_stream(*case)
+    assert [next(chunk_lines([c])) for c in timeline.chunks] == [dumps_canonical(chunk_record(c)) for c in timeline.chunks]
+
+
 def test_chunk_line_sorts_stages_inserted_in_any_order() -> None:
     chunk = ChunkTiming(3, 5, 6, 2, {STAGE_VOC: (4.0, 1e16), STAGE_LLM: (-0.0, 1.5), STAGE_FM: (2.0, 3.0)})
     assert next(chunk_lines([chunk])) == (
@@ -471,12 +484,6 @@ def test_chunk_line_sorts_stages_inserted_in_any_order() -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(case=simulation_cases())
-@example(case=(ScenarioConfig(SchedulePolicy(2, 3), n_text=5, m_speech=11), StageTimings(
-    llm=StageTimingModel.affine(STAGE_LLM, -0.0, 3e15), tts=StageTimingModel.affine(STAGE_TTS, 0.5, 1e16),
-    fm=StageTimingModel.affine(STAGE_FM, -0.0, -0.0), voc=StageTimingModel.affine(STAGE_VOC, 1e-310, 0.25))))
-@example(case=(ScenarioConfig(SchedulePolicy(1, 2), n_text=3, m_speech=5), StageTimings(
-    llm=lookup(STAGE_LLM, [-0.0, -0.0, 1e17]), tts=lookup(STAGE_TTS, [0.1, 0.2, 2e16, 2e16, 3e16]),
-    fm_voc=lookup(STAGE_FM_VOC, [-0.0, 7.0]))))
 def test_chunk_lines_are_the_canonical_text_of_each_chunk_record(case) -> None:
     timeline = simulate_stream(*case)
     assert list(chunk_lines(timeline.chunks)) == [dumps_canonical(chunk_record(c)) for c in timeline.chunks]
