@@ -20,7 +20,6 @@ from streamvox.pipeline import (
     first_chunk_latency,
     read_write_sweep,
     row_timings,
-    samples_per_chunk,
     scale_timings,
     simulate_stream,
 )
@@ -40,10 +39,11 @@ print("\n== 7B read/write sweep ==")
 for row in read_write_sweep():
     b = first_chunk_latency(row_timings(row), SchedulePolicy(row.reads, row.writes))
     chunk_ms = 1000 * row.writes / 25  # audio covered by one chunk at 25 tokens/s
+    samples = 24000 * row.writes // 25  # the same chunk as 24 kHz audio samples
     print(
         f"R={row.reads} W={row.writes:>2}: total {b.total_ms:7.2f} ms, "
         f"chunk covers {chunk_ms:6.0f} ms of audio "
-        f"({samples_per_chunk(row.writes)} samples at 24 kHz)"
+        f"({samples} samples at 24 kHz)"
     )
 
 # Affine fits turn the sparse measured points into curves usable at any count.

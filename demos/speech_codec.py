@@ -7,20 +7,21 @@ The codec squashes each of 8 latent dimensions through tanh, rounds to one of
 import numpy as np
 
 from streamvox.fsq import (
+    CODEBOOK_SIZE,
+    DIMS,
+    LEVEL_CENTERS,
+    LEVELS,
     SPEECH_TOKENS_PER_SECOND,
-    FsqConfig,
     code_to_index,
     dequantize,
     encode,
     encode_to_index,
     index_to_code,
-    level_centers,
 )
 
-config = FsqConfig()
-print(f"{config.dims} dims x {config.levels} levels -> {config.codebook_size} tokens")
+print(f"{DIMS} dims x {LEVELS} levels -> {CODEBOOK_SIZE} tokens")
 print(f"token rate: {SPEECH_TOKENS_PER_SECOND} per second of speech")
-print(f"level centers (squashed space): {level_centers(config)}")
+print(f"level centers (squashed space): {LEVEL_CENTERS}")
 
 # A latent near zero lands on the middle level everywhere; saturated inputs
 # pin to the outermost levels.

@@ -387,18 +387,21 @@ def finite_diff_check(loss_and_grad, theta: np.ndarray, eps: float, loss_fn=None
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write a tensors-v1 file atomically (write-then-rename).  A meta
-    holding NaN or an infinity raises a ValueError before any file is written."""
+    """Write a tensors-v1 file atomically (write-then-rename).  A tensor or
+    a meta holding NaN or an infinity raises a ValueError before any file is written."""
     entries = [{"name": name, "shape": list(np.shape(t))} for name, t in tensors.items()]
     header = json.dumps({"tensors": entries, "meta": meta or {}}, sort_keys=True, allow_nan=False).encode("utf-8")
-    payloads = [np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors.values()]
-    records._atomic_write(path, b"".join([_TENSOR_MAGIC, header, b"\n", *payloads]))
+    arrays = {name: np.ascontiguousarray(t, dtype="<f8") for name, t in tensors.items()}
+    for name, array in arrays.items():
+        _check_finite_tensor(path, name, array)
+    records._atomic_write(path, b"".join([_TENSOR_MAGIC, header, b"\n", *(a.tobytes() for a in arrays.values())]))
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a whole tensors-v1 file; a malformed header, or a short or
-    over-long payload, raises a ValueError.  The header is decoded by
-    ``records.DECODER``, which rejects NaN, Infinity and out-of-range numbers."""
+    """Read a whole tensors-v1 file; a malformed header, a short or
+    over-long payload, or a tensor holding NaN or an infinity raises a
+    ValueError.  The header is decoded by ``records.DECODER``, which rejects
+    NaN, Infinity and out-of-range numbers."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _TENSOR_MAGIC:
@@ -416,10 +419,16 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         if end > len(payload):
             raise ValueError(f"truncated payload for tensor {name!r}")
         tensors[name] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
+        _check_finite_tensor(path, name, tensors[name])
         offset = end
     if offset != len(payload):
         raise ValueError("trailing bytes after the last tensor payload")
     return tensors, meta
+
+
+def _check_finite_tensor(path, name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ValueError(f"{path}: tensor {name!r} holds NaN or an infinity")
 
 
 def _parse_tensor_header(header) -> tuple[dict[str, tuple[int, ...]], dict]:

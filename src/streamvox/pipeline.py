@@ -37,7 +37,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .fsq import SPEECH_TOKENS_PER_SECOND
 from .records import finite_nonneg, positive_int, prefixed
 from .schedule import SchedulePolicy
 
@@ -49,7 +48,6 @@ STAGE_FM_VOC = "fm_voc"
 STAGES = (STAGE_LLM, STAGE_TTS, STAGE_FM, STAGE_VOC, STAGE_FM_VOC)
 
 MEL_FRAMES_PER_TOKEN = 2
-DEFAULT_SAMPLE_RATE = 24000
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class StageTimingModel:
             return 0.0
         if self.points is not None:
             if count not in self._costs:
-                raise KeyError(f"stage {self.stage!r} lookup has no entry for count {count}")
+                raise ValueError(f"stage {self.stage!r} lookup has no entry for count {count}")
             return self._costs[count]
         return float(self.intercept_ms + self.per_token_ms * count)
 
@@ -436,15 +434,6 @@ def mel_frames(write_count: int) -> int:
     if write_count < 0:
         raise ValueError(f"write_count must be >= 0, got {write_count}")
     return MEL_FRAMES_PER_TOKEN * write_count
-
-
-def samples_per_chunk(write_count: int, sample_rate: int = DEFAULT_SAMPLE_RATE) -> int:
-    """Audio samples covered by a chunk at the 25 Hz token rate."""
-    if write_count < 0:
-        raise ValueError(f"write_count must be >= 0, got {write_count}")
-    if sample_rate <= 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    return round(sample_rate * write_count / SPEECH_TOKENS_PER_SECOND)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ by an atomic rename, so failed runs never leave truncated outputs.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
@@ -95,9 +96,20 @@ def _finite_float(text: str) -> float:
 DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8; a file that is not UTF-8 raises a
+    RecordFormatError naming the file, the line and the byte offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]  # line breaks as text mode reads them: \r\n, \r or \n
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise RecordFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return DECODER.decode(text)
     except ValueError as exc:
@@ -118,24 +130,23 @@ def read_jsonl(path, schema: str | None = None, parse: Callable | None = None) -
     schema's row parser, whose ValueError is prefixed with the line.
     """
     rows: list = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = DECODER.decode(line)
-            except ValueError as exc:
-                raise RecordFormatError(f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-            if not isinstance(row, dict):
-                raise RecordFormatError(f"{path}: line {lineno}: expected a JSON object")
-            if schema is not None and row.get("schema") != schema:
-                raise RecordFormatError(
-                    f"{path}: line {lineno}: schema {row.get('schema')!r}, expected {schema!r}"
-                )
-            if parse is not None:
-                with prefixed(f"{path}: line {lineno}: "):
-                    row = parse(row)
-            rows.append(row)
+    for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = DECODER.decode(line)
+        except ValueError as exc:
+            raise RecordFormatError(f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+        if not isinstance(row, dict):
+            raise RecordFormatError(f"{path}: line {lineno}: expected a JSON object")
+        if schema is not None and row.get("schema") != schema:
+            raise RecordFormatError(
+                f"{path}: line {lineno}: schema {row.get('schema')!r}, expected {schema!r}"
+            )
+        if parse is not None:
+            with prefixed(f"{path}: line {lineno}: "):
+                row = parse(row)
+        rows.append(row)
     return rows
 
 

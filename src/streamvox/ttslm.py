@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from . import records
+from .fsq import CODEBOOK_SIZE
 from .numerics import (
     FfnParams,
     GateParams,
@@ -42,7 +43,7 @@ KIND_TEXT = "text"
 KIND_SPEECH = "speech"
 KIND_EOS = "eos"
 
-DEFAULT_SPEECH_SIZE = 6561
+DEFAULT_SPEECH_SIZE = CODEBOOK_SIZE
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,6 @@ class ExtendedVocab:
         if token_id < self.text_size + self.speech_size:
             return KIND_SPEECH
         return KIND_EOS
-
-    def split(self, token_id: int) -> tuple[str, int]:
-        """Token id -> (kind, index local to that kind)."""
-        kind = self.kind(token_id)
-        if kind == KIND_TEXT:
-            return kind, token_id
-        if kind == KIND_SPEECH:
-            return kind, token_id - self.text_size
-        return kind, 0
 
     def speech_token(self, local: int) -> int:
         if not 0 <= local < self.speech_size:
@@ -573,26 +565,21 @@ def train_toy(
     policy: SchedulePolicy,
     epochs: int,
     lr: float,
-    params: PredictorParams | None = None,
     *,
-    vocab: ExtendedVocab | None = None,
-    emb_dim: int = 8,
-    hidden_dim: int = 16,
+    vocab: ExtendedVocab,
     seed: int = 0,
 ) -> tuple[PredictorParams, list[float]]:
     """Full-batch gradient descent on the masked interleaved loss, one
     :func:`interleaved_loss_and_grads` call over the dataset per epoch.
     Returns the trained parameters and the per-epoch loss curve (mean loss
     per sample, evaluated at the start of each epoch, so ``lr == 0`` yields a
-    constant curve).  Aborts with a diagnostic if the loss or a parameter
-    leaves the finite range."""
+    constant curve).  Training starts from :func:`init_predictor` at its
+    default sizes, drawn from ``seed``.  Aborts with a diagnostic if the loss
+    or a parameter leaves the finite range."""
     if not dataset:
         raise ValueError("dataset is empty")
-    if params is None:
-        if vocab is None:
-            raise ValueError("either params or vocab must be supplied")
-        fused_dim = np.asarray(dataset[0][0]).shape[1]
-        params = init_predictor(vocab, fused_dim, emb_dim, hidden_dim, np.random.default_rng(seed))
+    fused_dim = np.asarray(dataset[0][0]).shape[1]
+    params = init_predictor(vocab, fused_dim, rng=np.random.default_rng(seed))
 
     loss_and_grads = lambda a: interleaved_loss_and_grads(dataset, policy, params.replace(a))[:2]
     arrays, curve = _descend(params.arrays(), loss_and_grads, len(dataset), epochs, lr)

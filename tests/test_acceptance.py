@@ -16,7 +16,7 @@ import scipy.stats
 
 from streamvox.evalkit import normalize, wer
 from streamvox.datagen import sample_turn_count, turn_count_pmf
-from streamvox.fsq import FsqConfig, code_to_index, dequantize, encode, index_to_code
+from streamvox.fsq import CODEBOOK_SIZE, DIMS, code_to_index, dequantize, encode, index_to_code
 from streamvox.numerics import (
     FfnParams,
     FusionPipelineParams,
@@ -184,15 +184,14 @@ def test_criterion_05_gate_fusion_gradient_check() -> None:
 
 def test_criterion_06_fsq_exhaustive_bijection() -> None:
     started = time.time()
-    config = FsqConfig()
-    for index in range(config.codebook_size):
-        code = index_to_code(index, config)
-        assert code_to_index(code, config) == index
+    for index in range(CODEBOOK_SIZE):
+        code = index_to_code(index)
+        assert code_to_index(code) == index
     rng = np.random.default_rng(66)
     for _ in range(10_000):
-        latent = 4.0 * rng.standard_normal(config.dims)
-        code = encode(latent, config)
-        np.testing.assert_array_equal(encode(dequantize(code, config), config), code)
+        latent = 4.0 * rng.standard_normal(DIMS)
+        code = encode(latent)
+        np.testing.assert_array_equal(encode(dequantize(code)), code)
     assert time.time() - started < 5.0
     report(6, "all 6561 indices round-trip; encoding idempotent on 10,000 latents")
 

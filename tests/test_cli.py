@@ -101,6 +101,25 @@ def test_overflowing_costs_exit_1_and_write_nothing(tmp_path, capsys, per_token_
     assert list(tmp_path.iterdir()) == [timing]
 
 
+def test_lookup_miss_exits_1_with_an_unquoted_line(tmp_path, capsys) -> None:
+    code, out, err = run(capsys, "simulate", "--timing", "table7b", "--R", "3", "--W", "10", "--m-speech", "30",
+                         "--timeline", str(tmp_path / "t.jsonl"))
+    assert (code, out, err) == (1, "", "error: stage 'tts' lookup has no entry for count 30\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_input_that_is_not_utf8_exits_1_with_one_line(tmp_path, capsys) -> None:
+    wer = tmp_path / "wer.jsonl"
+    head = b'{"schema": "wer-item/v1", "reference": "a", "hypothesis": "a"}\n{"schema": "wer-item/v1", "reference": "'
+    wer.write_bytes(head + b'\xff", "hypothesis": "a"}\n')
+    code, out, err = run(capsys, "eval", "--wer", str(wer))
+    assert (code, out, err) == (1, "", f"error: {wer}: line 2: not UTF-8 (invalid start byte at byte {len(head)})\n")
+    points = tmp_path / "points.json"
+    points.write_bytes(b"[[1, 2.0], [2, 3.0]] \xff")
+    code, out, err = run(capsys, "calibrate", "--stage", "llm", "--points", str(points))
+    assert (code, out, err) == (1, "", f"error: {points}: line 1: not UTF-8 (invalid start byte at byte 21)\n")
+
+
 def test_simulate_rejects_non_object_timing_record(tmp_path, capsys) -> None:
     path = tmp_path / "timing.json"
     records.write_json(path, {"stages": [5]})

@@ -1,67 +1,28 @@
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
+from streamvox import fsq
 from streamvox.fsq import (
+    CODEBOOK_SIZE,
+    DIMS,
+    LEVEL_CENTERS,
+    LEVELS,
     SPEECH_TOKENS_PER_SECOND,
-    FsqConfig,
     code_to_index,
     dequantize,
     encode,
     encode_to_index,
     index_to_code,
-    level_centers,
 )
 
 
 def test_default_codebook_size() -> None:
-    assert FsqConfig().codebook_size == 6561
+    assert (DIMS, LEVELS) == (8, 3)
+    assert CODEBOOK_SIZE == LEVELS**DIMS == 6561
     assert SPEECH_TOKENS_PER_SECOND == 25
-
-
-def test_config_validation() -> None:
-    with pytest.raises(ValueError):
-        FsqConfig(dims=0)
-    with pytest.raises(ValueError):
-        FsqConfig(levels=1)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"dims": 2.5},
-        {"dims": True},
-        {"levels": 2.5},
-        {"levels": True},
-        {"levels": np.int64(3)},
-        {"dims": 40, "levels": 3},  # 3**40 > sys.maxsize
-        {"dims": 63, "levels": 2},
-        {"dims": 10**18},
-        {"dims": 2, "levels": sys.maxsize},
-    ],
-)
-def test_config_rejects_non_integers_and_oversized_codebooks(kwargs) -> None:
-    with pytest.raises(ValueError):
-        FsqConfig(**kwargs)
-
-
-@pytest.mark.parametrize("dims,levels", [(39, 3), (62, 2), (1, sys.maxsize)])
-def test_largest_codebooks_index_exactly(dims, levels) -> None:
-    cfg = FsqConfig(dims=dims, levels=levels)
-    top = cfg.codebook_size - 1
-    indices = [0, 1, top // 3, top - 1, top]
-    codes = index_to_code(np.array(indices), cfg)
-    for index, code in zip(indices, codes):
-        digits = []
-        for _ in range(dims):
-            index, digit = divmod(index, levels)
-            digits.append(digit)
-        assert code.tolist() == digits
-    assert code_to_index(codes, cfg).tolist() == indices
-    assert code_to_index(index_to_code(top, cfg), cfg) == top
+    np.testing.assert_allclose(LEVEL_CENTERS, [-2 / 3, 0.0, 2 / 3], rtol=0, atol=1e-15)
 
 
 def test_encode_zero_hits_middle_level() -> None:
@@ -81,20 +42,21 @@ def test_encode_rejects_bad_inputs() -> None:
 
 
 def test_index_code_examples() -> None:
-    cfg = FsqConfig()
-    assert code_to_index(np.zeros(8, dtype=int), cfg) == 0
-    assert code_to_index(np.full(8, 2), cfg) == 6560
-    np.testing.assert_array_equal(index_to_code(5, cfg), [2, 1, 0, 0, 0, 0, 0, 0])
+    assert code_to_index(np.zeros(8, dtype=int)) == 0
+    assert code_to_index(np.full(8, 2)) == 6560
+    np.testing.assert_array_equal(index_to_code(5), [2, 1, 0, 0, 0, 0, 0, 0])
 
 
 def test_index_code_rejects_out_of_range() -> None:
-    cfg = FsqConfig()
     with pytest.raises(ValueError):
-        index_to_code(6561, cfg)
+        index_to_code(6561)
     with pytest.raises(ValueError):
-        code_to_index(np.array([3, 0, 0, 0, 0, 0, 0, 0]), cfg)
+        code_to_index(np.array([3, 0, 0, 0, 0, 0, 0, 0]))
     with pytest.raises(ValueError):
-        code_to_index(np.zeros(8), cfg)  # float digits
+        code_to_index(np.zeros(8))  # float digits
+    for codec in (code_to_index, dequantize):
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 8\)"):
+            codec(np.zeros(7, dtype=int))
 
 
 @pytest.mark.parametrize("bad", [2.7, True, np.True_, np.float64(3.0), np.array([1.0, 2.0]), np.array([True]), "3"])
@@ -132,102 +94,93 @@ def test_index_error_names_large_unsigned_indices_as_given(bad) -> None:
 
 
 def test_batched_codec_matches_per_item() -> None:
-    cfg = FsqConfig()
-    indices = np.arange(cfg.codebook_size)
-    codes = index_to_code(indices, cfg)
-    assert codes.shape == (cfg.codebook_size, cfg.dims)
-    np.testing.assert_array_equal(codes, [index_to_code(int(i), cfg) for i in indices])
-    back = code_to_index(codes, cfg)
+    indices = np.arange(CODEBOOK_SIZE)
+    codes = index_to_code(indices)
+    assert codes.shape == (CODEBOOK_SIZE, DIMS)
+    np.testing.assert_array_equal(codes, [index_to_code(int(i)) for i in indices])
+    back = code_to_index(codes)
     np.testing.assert_array_equal(back, indices)
-    assert [code_to_index(c, cfg) for c in codes] == indices.tolist()
-    np.testing.assert_array_equal(dequantize(codes, cfg), [dequantize(c, cfg) for c in codes])
-    latents = 4.0 * np.random.default_rng(67).standard_normal((10_000, cfg.dims))
-    np.testing.assert_array_equal(encode(latents, cfg), [encode(x, cfg) for x in latents])
-    np.testing.assert_array_equal(encode_to_index(latents, cfg), [encode_to_index(x, cfg) for x in latents])
+    assert [code_to_index(c) for c in codes] == indices.tolist()
+    np.testing.assert_array_equal(dequantize(codes), [dequantize(c) for c in codes])
+    latents = 4.0 * np.random.default_rng(67).standard_normal((10_000, DIMS))
+    np.testing.assert_array_equal(encode(latents), [encode(x) for x in latents])
+    np.testing.assert_array_equal(encode_to_index(latents), [encode_to_index(x) for x in latents])
 
 
 def test_codec_keeps_leading_batch_axes() -> None:
-    cfg = FsqConfig()
     indices = np.array([[0, 5, 6560], [7, 8, 9]])
-    codes = index_to_code(indices, cfg)
-    assert codes.shape == (2, 3, cfg.dims)
-    assert dequantize(codes, cfg).shape == (2, 3, cfg.dims)
-    np.testing.assert_array_equal(code_to_index(codes, cfg), indices)
-    np.testing.assert_array_equal(encode_to_index(dequantize(codes, cfg), cfg), indices)
-    assert index_to_code(np.array([], dtype=int), cfg).shape == (0, cfg.dims)
-    assert type(code_to_index(codes[0, 1], cfg)) is int
-    assert type(encode_to_index(np.zeros(cfg.dims), cfg)) is int
+    codes = index_to_code(indices)
+    assert codes.shape == (2, 3, DIMS)
+    assert dequantize(codes).shape == (2, 3, DIMS)
+    np.testing.assert_array_equal(code_to_index(codes), indices)
+    np.testing.assert_array_equal(encode_to_index(dequantize(codes)), indices)
+    assert index_to_code(np.array([], dtype=int)).shape == (0, DIMS)
+    assert type(code_to_index(codes[0, 1])) is int
+    assert type(encode_to_index(np.zeros(DIMS))) is int
 
 
 def test_returned_arrays_never_alias_cached_tables() -> None:
-    cfg = FsqConfig()
-    code = index_to_code(5, cfg)
+    code = index_to_code(5)
     code[:] = 0
-    np.testing.assert_array_equal(index_to_code(5, cfg), [2, 1, 0, 0, 0, 0, 0, 0])
-    latent = dequantize(np.full(8, 2), cfg)
+    np.testing.assert_array_equal(index_to_code(5), [2, 1, 0, 0, 0, 0, 0, 0])
+    latent = dequantize(np.full(8, 2))
     expected = latent.copy()
     latent[:] = 0.0
-    np.testing.assert_array_equal(dequantize(np.full(8, 2), cfg), expected)
-    for table in (cfg.powers, cfg.center_latents):
+    np.testing.assert_array_equal(dequantize(np.full(8, 2)), expected)
+    for table in (LEVEL_CENTERS, fsq._POWERS, fsq._CENTER_LATENTS):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 7
 
 
 def test_exhaustive_bijection_default_config() -> None:
-    cfg = FsqConfig()
-    for index in range(cfg.codebook_size):
-        assert code_to_index(index_to_code(index, cfg), cfg) == index
+    for index in range(CODEBOOK_SIZE):
+        assert code_to_index(index_to_code(index)) == index
 
 
 def test_dequantize_middle_code_is_zero() -> None:
-    cfg = FsqConfig()
-    np.testing.assert_allclose(dequantize(np.ones(8, dtype=int), cfg), np.zeros(8))
+    np.testing.assert_allclose(dequantize(np.ones(8, dtype=int)), np.zeros(8))
 
 
 def test_dequantize_extreme_codes_hit_outer_centers() -> None:
-    cfg = FsqConfig()
-    centers = level_centers(cfg)
-    low = dequantize(np.zeros(8, dtype=int), cfg)
-    high = dequantize(np.full(8, cfg.levels - 1), cfg)
-    np.testing.assert_allclose(np.tanh(low), np.full(8, centers[0]), rtol=1e-12)
-    np.testing.assert_allclose(np.tanh(high), np.full(8, centers[-1]), rtol=1e-12)
+    low = dequantize(np.zeros(8, dtype=int))
+    high = dequantize(np.full(8, LEVELS - 1))
+    np.testing.assert_allclose(np.tanh(low), np.full(8, LEVEL_CENTERS[0]), rtol=1e-12)
+    np.testing.assert_allclose(np.tanh(high), np.full(8, LEVEL_CENTERS[-1]), rtol=1e-12)
 
 
 def test_round_trip_over_all_indices() -> None:
-    cfg = FsqConfig()
-    for index in range(cfg.codebook_size):
-        code = index_to_code(index, cfg)
-        np.testing.assert_array_equal(encode(dequantize(code, cfg), cfg), code)
-
-
-@pytest.mark.parametrize("levels,dims", [(3, 8), (5, 4), (7, 3), (16, 2)])
-def test_round_trip_other_geometries(levels: int, dims: int) -> None:
-    cfg = FsqConfig(dims=dims, levels=levels)
-    for index in range(cfg.codebook_size):
-        code = index_to_code(index, cfg)
-        assert code_to_index(code, cfg) == index
-        np.testing.assert_array_equal(encode(dequantize(code, cfg), cfg), code)
+    for index in range(CODEBOOK_SIZE):
+        code = index_to_code(index)
+        np.testing.assert_array_equal(encode(dequantize(code)), code)
 
 
 def test_encode_idempotence_on_random_latents() -> None:
-    cfg = FsqConfig()
     rng = np.random.default_rng(29)
-    latents = 3.0 * rng.standard_normal((500, cfg.dims))
+    latents = 3.0 * rng.standard_normal((500, DIMS))
     for latent in latents:
-        code = encode(latent, cfg)
-        np.testing.assert_array_equal(encode(dequantize(code, cfg), cfg), code)
+        code = encode(latent)
+        np.testing.assert_array_equal(encode(dequantize(code)), code)
 
 
 def test_encode_to_index_stays_in_range() -> None:
-    cfg = FsqConfig()
     rng = np.random.default_rng(31)
     for _ in range(200):
-        index = encode_to_index(100.0 * rng.standard_normal(cfg.dims), cfg)
-        assert 0 <= index < cfg.codebook_size
+        index = encode_to_index(100.0 * rng.standard_normal(DIMS))
+        assert 0 <= index < CODEBOOK_SIZE
 
 
 def test_boundary_ties_round_half_up() -> None:
-    # with 2 levels the cell boundary sits exactly at 0: squash(0) = 0 must
-    # land in the upper cell
-    cfg = FsqConfig(dims=1, levels=2)
-    np.testing.assert_array_equal(encode(np.zeros(1), cfg), [1])
+    # The inner cell boundaries sit at squash -1/3 and 1/3. Latents next to
+    # atanh(+-1/3) whose squash lands exactly on a boundary, in the encoder's
+    # own arithmetic, must take the upper cell.
+    for boundary, upper in ((-1 / 3, 1), (1 / 3, 2)):
+        latent = np.arctanh(boundary)
+        near = [latent]
+        for direction in (-np.inf, np.inf):
+            step = latent
+            for _ in range(20):
+                step = np.nextafter(step, direction)
+                near.append(step)
+        ties = [x for x in near if (np.tanh(x) + 1.0) * LEVELS / 2.0 == upper]
+        assert ties
+        np.testing.assert_array_equal(encode(np.array(ties)[:, None].repeat(DIMS, axis=1)), upper)

@@ -622,6 +622,24 @@ def test_tensor_file_save_rejects_non_finite_meta_and_writes_nothing(tmp_path, b
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_tensor_file_with_a_non_finite_payload_is_rejected(tmp_path, bad) -> None:
+    path = tmp_path / "p.tensors"
+    out_weight = np.zeros((2, 3))
+    out_weight[1, 2] = bad
+    with pytest.raises(ValueError) as info:
+        save_tensors(path, {"bias": np.zeros(2), "out_weight": out_weight})
+    assert str(info.value) == f"{path}: tensor 'out_weight' holds NaN or an infinity"
+    assert list(tmp_path.iterdir()) == []
+    # a payload written by another writer fails to load, naming the file and the tensor
+    payload = np.zeros(2).tobytes() + out_weight.astype("<f8").tobytes()
+    write_tensor_file(path, {"tensors": [{"name": "bias", "shape": [2]}, {"name": "out_weight", "shape": [2, 3]}]},
+                      payload)
+    with pytest.raises(ValueError) as info:
+        load_tensors(path)
+    assert str(info.value) == f"{path}: tensor 'out_weight' holds NaN or an infinity"
+
+
 def test_tensor_file_header_bytes_are_sorted_json(tmp_path) -> None:
     path = tmp_path / "p.tensors"
     save_tensors(path, {"w": np.zeros((1, 2))}, meta={"lr": 0.5, "kind": "x"})

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamvox.pipeline import (
-    DEFAULT_SAMPLE_RATE,
     FIRST_CHUNK_MEASUREMENTS,
     STAGES,
     STAGE_FM,
@@ -32,7 +31,6 @@ from streamvox.pipeline import (
     mel_frames,
     read_write_sweep,
     row_timings,
-    samples_per_chunk,
     scale_timings,
     simulate_stream,
     timing_preset,
@@ -58,7 +56,7 @@ def test_lookup_and_affine_evaluation() -> None:
     lookup = StageTimingModel.lookup(STAGE_TTS, {10: 165.83, 5: 85.43})
     assert lookup.cost_ms(10) == 165.83
     assert lookup.cost_ms(0) == 0.0
-    with pytest.raises(KeyError, match="stage 'tts' lookup has no entry for count 7"):
+    with pytest.raises(ValueError, match="stage 'tts' lookup has no entry for count 7"):
         lookup.cost_ms(7)
     affine = StageTimingModel.affine(STAGE_LLM, 164.3, 21.6)
     assert affine.cost_ms(3) == pytest.approx(164.3 + 3 * 21.6)
@@ -353,7 +351,7 @@ def outcome(simulate, scenario: ScenarioConfig, timings: StageTimings):
     timings = counted(timings)
     try:
         result = simulate(scenario, timings)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         result = (type(exc), str(exc))
     if isinstance(result, Timeline):
         result = [chunk_record(c) for c in result.chunks]
@@ -427,8 +425,8 @@ def test_simulation_matches_reference_loop_on_any_lookup_tables(r, w, n_text, m_
 
 def test_simulation_rejects_missing_lookup_entries() -> None:
     scenario = ScenarioConfig(policy=SchedulePolicy(3, 10), n_text=6, m_speech=20)
-    with pytest.raises(KeyError):
-        simulate_stream(scenario, scale_timings("0.5b"))  # no llm entry at 6
+    with pytest.raises(ValueError, match="stage 'llm' lookup has no entry for count 6"):
+        simulate_stream(scenario, scale_timings("0.5b"))
 
 
 def test_scenario_validation() -> None:
@@ -695,18 +693,6 @@ def test_mel_frames_ratio() -> None:
     assert mel_frames(0) == 0
     with pytest.raises(ValueError):
         mel_frames(-1)
-
-
-def test_samples_per_chunk() -> None:
-    assert samples_per_chunk(10, 24000) == 9600
-    assert samples_per_chunk(10) == 9600
-    assert samples_per_chunk(3, 22050) == round(22050 * 3 / 25)
-    with pytest.raises(ValueError):
-        samples_per_chunk(1, 0)
-
-
-def test_default_sample_rate_constant() -> None:
-    assert DEFAULT_SAMPLE_RATE == 24000
 
 
 # ---------------------------------------------------------------------------

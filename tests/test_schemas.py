@@ -229,6 +229,29 @@ def test_mutated_row_schema_is_rejected_by_the_reader(schema, bad, tmp_path) -> 
         records.read_jsonl(path, schema=schema, parse=parse)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_file_that_is_not_utf8_is_rejected_naming_the_line(tmp_path, newline) -> None:
+    path = tmp_path / "rows.jsonl"
+    rows = [{"schema": "wer-item/v1", "reference": "a", "hypothesis": "a"}] * 2
+    path.write_bytes(newline.join([json.dumps(rows[0]), '{"reference": "caf\xff"}', json.dumps(rows[1])]).encode("latin-1"))
+    offset = len(json.dumps(rows[0])) + len(newline) + len('{"reference": "caf')
+    with pytest.raises(records.RecordFormatError) as info:
+        records.read_jsonl(path, schema="wer-item/v1")
+    assert str(info.value) == f"{path}: line 2: not UTF-8 (invalid start byte at byte {offset})"
+    path.write_bytes(b'{"points":\n "\xe9"}')
+    with pytest.raises(records.RecordFormatError) as info:
+        records.read_json(path)
+    assert str(info.value) == f"{path}: line 2: not UTF-8 (invalid continuation byte at byte 13)"
+
+
+def test_reader_splits_lines_as_text_mode_does(tmp_path) -> None:
+    path = tmp_path / "rows.jsonl"
+    rows = [{"schema": "s", "n": n} for n in range(4)]
+    path.write_bytes("\n".join([json.dumps(rows[0]), json.dumps(rows[1]) + "\r\n" + json.dumps(rows[2]),
+                                 "\r" + json.dumps(rows[3])]).encode("utf-8"))
+    assert records.read_jsonl(path, schema="s") == rows
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -41,7 +42,7 @@ from streamvox.ttslm import (
     train_fused,
     train_toy,
 )
-from streamvox import ttslm
+from streamvox import fsq, ttslm
 from streamvox.ttslm import _choose_token
 
 VOCAB = ExtendedVocab(text_size=4, speech_size=12)
@@ -58,18 +59,6 @@ def test_vocab_ranges_partition_ids() -> None:
     assert VOCAB.total_size == 17
 
 
-def test_vocab_split_is_bijective() -> None:
-    seen = set()
-    for token in range(VOCAB.total_size):
-        kind, local = VOCAB.split(token)
-        seen.add((kind, local))
-        if kind == "text":
-            assert local == token
-        elif kind == "speech":
-            assert VOCAB.speech_token(local) == token
-    assert len(seen) == VOCAB.total_size
-
-
 def test_vocab_rejects_out_of_range() -> None:
     with pytest.raises(ValueError):
         VOCAB.kind(17)
@@ -78,6 +67,7 @@ def test_vocab_rejects_out_of_range() -> None:
 
 
 def test_default_speech_size_matches_codec() -> None:
+    assert ttslm.DEFAULT_SPEECH_SIZE == fsq.CODEBOOK_SIZE == 6561
     assert ExtendedVocab(text_size=10).speech_size == 6561
 
 
@@ -983,13 +973,6 @@ def test_copy_task_reaches_high_accuracy_and_decodes_heldout() -> None:
     assert result.tokens == Y
 
 
-def test_train_requires_params_or_vocab() -> None:
-    rng = np.random.default_rng(89)
-    pairs = copy_task_dataset(VOCAB, 2, 3, 4, rng)
-    with pytest.raises(ValueError, match="params or vocab"):
-        train_toy(pairs, SchedulePolicy(1, 1), epochs=1, lr=0.1)
-
-
 # ---------------------------------------------------------------------------
 # gate-fused training path
 
@@ -1122,6 +1105,26 @@ def test_predictor_round_trip(tmp_path) -> None:
     assert loaded.vocab == VOCAB
     for key, value in params.arrays().items():
         np.testing.assert_array_equal(loaded.arrays()[key], value)
+
+
+def test_predictor_with_a_nan_weight_is_neither_saved_nor_loaded(tmp_path) -> None:
+    params = init_predictor(VOCAB, fused_dim=4, rng=np.random.default_rng(103))
+    params.out_weight[0, 0] = math.nan
+    path = tmp_path / "predictor.tensors"
+    with pytest.raises(ValueError, match="tensor 'out_weight' holds NaN or an infinity"):
+        save_predictor(path, params)
+    assert list(tmp_path.iterdir()) == []
+    # the same file from another writer: the raw payload is appended after a valid header
+    params.out_weight[0, 0] = 0.0
+    save_predictor(path, params)
+    data = bytearray(path.read_bytes())
+    header_end = data.index(b"\n", data.index(b"\n") + 1) + 1
+    names = list(params.arrays())
+    offset = header_end + 8 * sum(params.arrays()[k].size for k in names[: names.index("out_weight")])
+    data[offset:offset + 8] = np.array([math.nan]).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor 'out_weight' holds NaN or an infinity$"):
+        load_predictor(path)
 
 
 @pytest.mark.parametrize(
