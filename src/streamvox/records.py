@@ -8,7 +8,6 @@ by an atomic rename, so failed runs never leave truncated outputs.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
@@ -96,20 +95,21 @@ def _finite_float(text: str) -> float:
 DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
-def _read_text(path) -> str:
-    """The file decoded as UTF-8; a file that is not UTF-8 raises a
-    RecordFormatError naming the file, the line and the byte offset."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]  # line breaks as text mode reads them: \r\n, \r or \n
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise RecordFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+def _lines(path):
+    """The file's lines, broken where text mode breaks them (``\\r\\n``, ``\\r``
+    or ``\\n``) and decoded as UTF-8 one at a time; a line that is not UTF-8
+    raises a RecordFormatError naming the file and the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate((part for chunk in fh for part in chunk.splitlines(True)), start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise RecordFormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason} at byte {exc.start} of the line)") from exc
+            yield line
 
 
 def read_json(path) -> dict:
-    text = _read_text(path)
+    text = "".join(_lines(path))
     try:
         return DECODER.decode(text)
     except ValueError as exc:
@@ -130,7 +130,7 @@ def read_jsonl(path, schema: str | None = None, parse: Callable | None = None) -
     schema's row parser, whose ValueError is prefixed with the line.
     """
     rows: list = []
-    for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
+    for lineno, line in enumerate(_lines(path), start=1):
         if not line.strip():
             continue
         try:

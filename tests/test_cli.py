@@ -110,14 +110,14 @@ def test_lookup_miss_exits_1_with_an_unquoted_line(tmp_path, capsys) -> None:
 
 def test_input_that_is_not_utf8_exits_1_with_one_line(tmp_path, capsys) -> None:
     wer = tmp_path / "wer.jsonl"
-    head = b'{"schema": "wer-item/v1", "reference": "a", "hypothesis": "a"}\n{"schema": "wer-item/v1", "reference": "'
-    wer.write_bytes(head + b'\xff", "hypothesis": "a"}\n')
+    line = b'{"schema": "wer-item/v1", "reference": "a", "hypothesis": "a"}\n'
+    wer.write_bytes(line + line.replace(b'"a",', b'"\xff",', 1))
     code, out, err = run(capsys, "eval", "--wer", str(wer))
-    assert (code, out, err) == (1, "", f"error: {wer}: line 2: not UTF-8 (invalid start byte at byte {len(head)})\n")
+    assert (code, out, err) == (1, "", f"error: {wer}: line 2: not UTF-8 (invalid start byte at byte 40 of the line)\n")
     points = tmp_path / "points.json"
     points.write_bytes(b"[[1, 2.0], [2, 3.0]] \xff")
     code, out, err = run(capsys, "calibrate", "--stage", "llm", "--points", str(points))
-    assert (code, out, err) == (1, "", f"error: {points}: line 1: not UTF-8 (invalid start byte at byte 21)\n")
+    assert (code, out, err) == (1, "", f"error: {points}: line 1: not UTF-8 (invalid start byte at byte 21 of the line)\n")
 
 
 def test_simulate_rejects_non_object_timing_record(tmp_path, capsys) -> None:
