@@ -9,9 +9,9 @@ differences) sum parameter gradients over rows and return per-row input
 gradients.  Trailing shapes are validated explicitly.
 
 Gate fusion of a projected hidden state with a token embedding has one
-forward, :func:`fuse`, and one backward, :func:`fuse_grads`.  Heads sit on
-that pair: the linear class head of :func:`fusion_loss` here, and the
-speech-token predictor in ``ttslm``.
+forward, :func:`fuse`, and one backward, :func:`fuse_grads`.  The pair serves
+the linear class head of :func:`fusion_loss` (criterion 05's gradient check);
+``fuse`` also feeds ``ttslm.fused_representations``.
 
 The two-layer projection uses tanh between its layers.  A smooth activation
 keeps the finite-difference checks exact near machine precision; the choice

@@ -169,12 +169,6 @@ class StageTimings:
         voc_cost = self.voc.cost_ms
         return [(STAGE_FM, self.fm.cost_ms), (STAGE_VOC, lambda tokens: voc_cost(mel_frames(tokens)))]
 
-    def to_records(self) -> list[dict]:
-        models = [self.llm, self.tts] + (
-            [self.fm_voc] if self.fm_voc is not None else [self.fm, self.voc]
-        )
-        return [m.to_record() for m in models]
-
     @classmethod
     def from_record(cls, doc: Mapping) -> "StageTimings":
         """Parse a ``{"stages": [timing/v1, ...]}`` document: one model per

@@ -30,14 +30,13 @@ from .numerics import (
     cross_entropy,
     cross_entropy_and_grads,
     fuse,
-    fuse_grads,
     load_tensors,
     log_softmax,
     save_tensors,
     sgd_step,
     softmax,
 )
-from .schedule import READ, WRITE, Action, SchedulePolicy, training_mask, visible_prefix
+from .schedule import READ, WRITE, Action, SchedulePolicy, actions_to_records, training_mask, visible_prefix
 
 KIND_TEXT = "text"
 KIND_SPEECH = "speech"
@@ -238,10 +237,12 @@ def init_predictor(
 # masked interleaved loss
 
 
-def _check_inputs(C, Y: Sequence[int], vocab: ExtendedVocab) -> np.ndarray:
+def _check_inputs(C, Y: Sequence[int], vocab: ExtendedVocab, width: int | None = None) -> np.ndarray:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] < 1:
         raise ValueError(f"fused representations must be a non-empty 2-D array, got {C.shape}")
+    if width is not None and C.shape[1] != width:
+        raise ValueError(f"fused representations have width {C.shape[1]}, the predictor's fused_dim is {width}")
     if not np.isfinite(C).all():
         raise ValueError("fused representations are not finite")
     for token in Y:
@@ -255,12 +256,15 @@ def _masked_forward(pairs: Sequence[tuple], policy: SchedulePolicy, params: Pred
     the pairs' concatenated rows, with no padding.  Each pair has its own
     zero-led running sum ``csum``, so a position that sees ``v`` of its rows has
     the mean ``csum[v] / v`` that a decode session of that pair takes, bit for
-    bit, whatever the other pairs hold.  Returns ``(targets, last, v, prev,
-    features, hidden, logits)``, one row per position; ``last`` is the index of
-    the position's last visible row among the concatenated rows."""
+    bit, whatever the other pairs hold.  Returns ``(targets, prev, features,
+    hidden, logits)``, one row per position.  An invalid pair raises
+    ``ValueError`` led by its index."""
     if not pairs:
         raise ValueError("dataset is empty")
-    Cs = [_check_inputs(C, Y, params.vocab) for C, Y in pairs]
+    Cs = []
+    for i, (C, Y) in enumerate(pairs):
+        with records.prefixed(f"pair {i}: "):
+            Cs.append(_check_inputs(C, Y, params.vocab, params.fused_dim))
     starts = np.cumsum([0, *(len(c) for c in Cs[:-1])])
     pair = np.repeat(np.arange(len(Cs)), [len(Y) for _, Y in pairs])
     v = np.array([u for c, (_, Y) in zip(Cs, pairs) for u in training_mask(len(c), len(Y), policy)], dtype=int)
@@ -270,7 +274,7 @@ def _masked_forward(pairs: Sequence[tuple], policy: SchedulePolicy, params: Pred
     last = starts[pair] + v - 1
     features, hidden, logits = params.forward(csum[last + pair + 1] / v[:, None], prev)
     targets = np.array([t for _, Y in pairs for t in Y], dtype=int)
-    return targets, last, v, prev, features, hidden, logits
+    return targets, prev, features, hidden, logits
 
 
 def _finite_logits(pairs: Sequence[tuple], policy: SchedulePolicy, params: PredictorParams) -> tuple:
@@ -305,11 +309,10 @@ def predictive_distribution(
 
 def interleaved_loss_and_grads(
     pairs: Sequence[tuple], policy: SchedulePolicy, params: PredictorParams
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Loss summed over the ``(C, Y)`` pairs, its parameter gradients, and its
-    gradient w.r.t. every ``C`` (concatenated in pair order), from the one
-    :func:`_masked_forward` and one backward pass."""
-    targets, last, v, prev, features, hidden, logits = _masked_forward(pairs, policy, params)
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss summed over the ``(C, Y)`` pairs and its parameter gradients, from
+    the one :func:`_masked_forward` and one backward pass."""
+    targets, prev, features, hidden, logits = _masked_forward(pairs, policy, params)
     terms, d_logits = cross_entropy_and_grads(logits, targets)
     d = params.fused_dim
     d_hidden = d_logits @ params.out_weight
@@ -322,14 +325,7 @@ def interleaved_loss_and_grads(
         "out_bias": d_logits.sum(axis=0),
     }
     np.add.at(grads["token_emb"], prev, d_features[:, d:])  # ids repeat
-    # Scatter each mean's d_mean / v at its last row; a reverse running sum over
-    # each pair hands every row its share of each mean at or after it and leaves
-    # rows no position sees exactly zero.
-    sizes = [len(C) for C, _ in pairs]
-    d_sums = np.zeros((sum(sizes), d))
-    np.add.at(d_sums, last, d_features[:, :d] / v[:, None])
-    d_C = np.concatenate([np.cumsum(g[::-1], axis=0)[::-1] for g in np.split(d_sums, np.cumsum(sizes)[:-1])])
-    return float(terms.sum()), grads, d_C
+    return float(terms.sum()), grads
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +361,7 @@ class DecodeResult:
             "schema": "decode/v1",
             "tokens": list(self.tokens),
             "reps_read": self.reps_read,
-            "trace": [{"kind": a.kind, "count": a.count} for a in self.trace],
+            "trace": actions_to_records(self.trace),
         }
 
 
@@ -580,29 +576,21 @@ def train_toy(
         raise ValueError("dataset is empty")
     fused_dim = np.asarray(dataset[0][0]).shape[1]
     params = init_predictor(vocab, fused_dim, rng=np.random.default_rng(seed))
-
-    loss_and_grads = lambda a: interleaved_loss_and_grads(dataset, policy, params.replace(a))[:2]
-    arrays, curve = _descend(params.arrays(), loss_and_grads, len(dataset), epochs, lr)
-    return params.replace(arrays), curve
-
-
-def _descend(arrays: dict, loss_and_grads, samples: int, epochs: int, lr: float):
-    """Gradient descent on a dict of arrays, given the ``(loss, grads)`` summed over
-    all ``samples`` from one ``loss_and_grads(arrays)`` call per epoch.  A non-finite
-    loss or update raises ``ValueError`` naming the epoch, so numpy's warnings are off."""
     records.positive_int("epochs", epochs)
     records.finite_nonneg("lr", lr)
+    samples = len(dataset)
     curve: list[float] = []
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a non-finite loss or update raises ValueError naming the epoch
         for epoch in range(epochs):
-            loss, grads = loss_and_grads(arrays)
+            loss, grads = interleaved_loss_and_grads(dataset, policy, params)
             if not np.isfinite(loss / samples):
                 raise ValueError(f"non-finite training loss {loss / samples} at epoch {epoch}")
             curve.append(loss / samples)
-            arrays = sgd_step(arrays, grads, lr / samples)
+            arrays = sgd_step(params.arrays(), grads, lr / samples)
             if not all(np.isfinite(a).all() for a in arrays.values()):
                 raise ValueError(f"non-finite parameters after the update at epoch {epoch}")
-    return arrays, curve
+            params = params.replace(arrays)
+    return params, curve
 
 
 def next_token_accuracy(
@@ -642,7 +630,7 @@ def copy_task_dataset(
 
 
 # ---------------------------------------------------------------------------
-# gate-fused training (upstream fusion trainable, source hidden states frozen)
+# gate fusion of source hidden states
 
 
 def fused_representations(
@@ -650,52 +638,6 @@ def fused_representations(
 ) -> np.ndarray:
     """Project each source hidden state, embed its text token, and gate-fuse."""
     return fuse(ffn, gate, token_emb, hidden_states, text_ids)[-1]
-
-
-def fused_loss_and_grads(
-    samples: Sequence[tuple], policy: SchedulePolicy, ffn: FfnParams, gate: GateParams, params: PredictorParams
-) -> tuple[float, FfnParams, GateParams, dict[str, np.ndarray]]:
-    """Masked loss summed over ``(hidden_states, text_ids, Y)`` samples, with
-    gradients for the fusion stack and the predictor, from one :func:`fuse`,
-    one :func:`interleaved_loss_and_grads` and one :func:`fuse_grads` over
-    every sample's rows.  The source hidden states are frozen inputs.  Text
-    embeddings reuse the predictor's token table, so that table accumulates
-    gradient from both the fusion path and the previous-token path."""
-    if not samples:
-        raise ValueError("dataset is empty")
-    sizes = [len(h) for h, _, _ in samples]
-    if sizes != [len(ids) for _, ids, _ in samples]:
-        raise ValueError("every sample needs one text id per hidden state")
-    hidden_states = np.concatenate([h for h, _, _ in samples])
-    text_ids = [t for _, ids, _ in samples for t in ids]
-    e_hidden, e_emb, C = fuse(ffn, gate, params.token_emb, hidden_states, text_ids)
-    pairs = [(c, Y) for c, (*_, Y) in zip(np.split(C, np.cumsum(sizes)[:-1]), samples)]
-    loss, grads, d_C = interleaved_loss_and_grads(pairs, policy, params)
-    d_ffn, d_gate = fuse_grads(ffn, gate, hidden_states, text_ids, e_hidden, e_emb, d_C, grads["token_emb"])
-    return loss, d_ffn, d_gate, grads
-
-
-def train_fused(
-    dataset: Sequence[tuple], policy: SchedulePolicy, ffn: FfnParams, gate: GateParams,
-    params: PredictorParams, epochs: int, lr: float,
-) -> tuple[FfnParams, GateParams, PredictorParams, list[float]]:
-    """Train fusion stack and predictor jointly on (hidden_states, text_ids,
-    speech_tokens) triples; source hidden states stay frozen."""
-    if not dataset:
-        raise ValueError("dataset is empty")
-
-    # One dict of every trained array: the dataclass fields and predictor keys are disjoint.
-    def split(a: dict) -> tuple[FfnParams, GateParams, PredictorParams]:
-        pred = params.replace({k: a[k] for k in params.arrays()})
-        return FfnParams(a["w1"], a["b1"], a["w2"], a["b2"]), GateParams(a["weight"], a["bias"]), pred
-
-    def loss_and_grads(a: dict):
-        loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(dataset, policy, *split(a))
-        return loss, {**vars(d_ffn), **vars(d_gate), **d_pred}
-
-    start = {**vars(ffn), **vars(gate), **params.arrays()}
-    arrays, curve = _descend(start, loss_and_grads, len(dataset), epochs, lr)
-    return (*split(arrays), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -717,19 +659,6 @@ def load_predictor(path) -> PredictorParams:
     with records.prefixed("meta."):
         vocab = ExtendedVocab(text_size=meta.get("text_size"), speech_size=meta.get("speech_size"))
     return PredictorParams(vocab=vocab, **tensors)
-
-
-def save_pairs(path, pairs: Sequence[tuple]) -> None:
-    """Persist (fused representations, speech tokens) pairs as JSONL."""
-    rows = [
-        {
-            "schema": "fused-pairs/v1",
-            "fused": np.asarray(C, dtype=float).tolist(),
-            "tokens": [int(t) for t in Y],
-        }
-        for C, Y in pairs
-    ]
-    records.write_jsonl(path, rows)
 
 
 def pair_from_record(row: Mapping) -> tuple[np.ndarray, list[int]]:

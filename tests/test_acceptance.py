@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from streamvox.evalkit import normalize, wer
 from streamvox.datagen import sample_turn_count, turn_count_pmf
@@ -277,6 +276,21 @@ def test_criterion_09_wer_oracle_equivalence() -> None:
     report(9, "wer matches the quadratic oracle on 1,000 pairs; wer(x, x) = 0 corpus-wide")
 
 
+def chi2_4_quantile(alpha: float) -> float:
+    """The largest float at which the chi-square survival function with 4
+    degrees of freedom, ``exp(-x/2) * (1 + x/2)``, is still above ``alpha``:
+    its ``1 - alpha`` quantile, found by bisection down to adjacent floats."""
+    lo, hi = 0.0, 1e3  # the survival function is 1 at 0 and below 1e-200 at 1e3
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return lo
+        if math.exp(-mid / 2) * (1 + mid / 2) > alpha:
+            lo = mid
+        else:
+            hi = mid
+
+
 def test_criterion_10_turn_count_goodness_of_fit() -> None:
     started = time.time()
     rng = np.random.default_rng(20240511)
@@ -286,7 +300,8 @@ def test_criterion_10_turn_count_goodness_of_fit() -> None:
     assert [round(pmf[k], 4) for k in range(1, 6)] == [0.4060, 0.2707, 0.1804, 0.0902, 0.0527]
     expected = np.array([pmf[k] * n for k in range(1, 6)])
     statistic = float(((counts - expected) ** 2 / expected).sum())
-    threshold = float(scipy.stats.chi2.ppf(1 - 0.001, df=4))
+    threshold = chi2_4_quantile(0.001)
+    assert threshold == 18.46682695290317  # scipy.stats.chi2.ppf(1 - 0.001, df=4)
     assert statistic < threshold
     assert time.time() - started < 5.0
     report(10, f"chi-square {statistic:.2f} below the 0.999 quantile {threshold:.2f}")

@@ -367,6 +367,21 @@ def test_train_toy_negative_seed_exits_one_naming_the_seed(tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_toy_dataset_names_a_pair_of_the_wrong_width(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    pair = lambda *rows: {"schema": "fused-pairs/v1", "fused": [list(r) for r in rows], "tokens": [1, 2]}
+    records.write_jsonl("good.jsonl", [pair((0.5, 1.0)), pair((1.0, 0.0), (0.0, 1.0))])
+    records.write_jsonl("bad.jsonl", [pair((0.5, 1.0)), pair((1.0, 0.0, 2.0))])
+    argv = ["--speech-size", "8", "--epochs", "2"]
+    code, out, err = run(capsys, "train-toy", "--dataset", "good.jsonl", *argv)
+    assert (code, err, out.count("\n")) == (0, "", 1)
+    assert json.loads(out)["epochs"] == 2
+    code, out, err = run(capsys, "train-toy", "--dataset", "bad.jsonl", *argv, "--params-out", "p.tensors")
+    assert (code, out) == (1, "")
+    assert err == "error: pair 1: fused representations have width 3, the predictor's fused_dim is 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "good.jsonl"]
+
+
 # JSON text of numbers that are not finite: NaN and Infinity are not JSON
 # (RFC 8259), and 1e400 is beyond the float range.
 NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]

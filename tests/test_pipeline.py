@@ -139,10 +139,10 @@ def test_stage_bundle_requires_exactly_one_synthesis_form() -> None:
 
 def test_timing_records_round_trip() -> None:
     timings = scale_timings("7b")
-    rebuilt = StageTimings.from_record({"stages": timings.to_records()})
-    assert rebuilt == timings
     affine = affine_timings(1.0, 2.0, 3.0, 4.0, intercepts=(5.0, 6.0, 7.0, 8.0))
-    assert StageTimings.from_record({"stages": affine.to_records()}) == affine
+    for t in (timings, affine):
+        stages = [m.to_record() for m in vars(t).values() if m is not None]
+        assert StageTimings.from_record({"stages": stages}) == t
 
 
 # ---------------------------------------------------------------------------

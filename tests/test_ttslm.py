@@ -21,14 +21,15 @@ from streamvox.numerics import (
     softmax,
     unpack_arrays,
 )
-from streamvox.schedule import READ, WRITE, Action, SchedulePolicy, build_sequence, validate_sequence, visible_prefix
+from streamvox.schedule import (
+    READ, WRITE, Action, SchedulePolicy, actions_to_records, build_sequence, validate_sequence, visible_prefix,
+)
 from streamvox.ttslm import (
     DecodeConfig,
     ExtendedVocab,
     PredictorParams,
     copy_task_dataset,
     decode_stream,
-    fused_loss_and_grads,
     fused_representations,
     init_predictor,
     interleaved_loss_and_grads,
@@ -37,12 +38,10 @@ from streamvox.ttslm import (
     load_predictor,
     next_token_accuracy,
     predictive_distribution,
-    save_pairs,
     save_predictor,
-    train_fused,
     train_toy,
 )
-from streamvox import fsq, ttslm
+from streamvox import fsq, records, ttslm
 from streamvox.ttslm import _choose_token
 
 VOCAB = ExtendedVocab(text_size=4, speech_size=12)
@@ -235,6 +234,22 @@ def test_masked_forward_matches_per_position_logits(R, W, lengths, empty_at, see
         assert next_token_accuracy(pairs, policy, params) == hits / positions
 
 
+def test_pairs_of_the_wrong_width_are_named() -> None:
+    policy = SchedulePolicy(1, 1)
+    params = init_predictor(VOCAB, fused_dim=2)
+    Y = [VOCAB.speech_token(0)] * 2
+    pairs = [(np.zeros((2, 2)), Y), (np.zeros((2, 3)), Y)]
+    message = r"^pair 1: fused representations have width 3, the predictor's fused_dim is 2$"
+    with pytest.raises(ValueError, match=message):
+        next_token_accuracy(pairs, policy, params)
+    with pytest.raises(ValueError, match=message):
+        interleaved_loss_and_grads(pairs, policy, params)
+    with pytest.raises(ValueError, match=message):
+        train_toy(pairs, policy, 1, 0.1, vocab=VOCAB)
+    with pytest.raises(ValueError, match=message.replace("pair 1", "pair 0")):
+        interleaved_loss_terms(pairs[1][0], Y, policy, params)
+
+
 def test_accuracy_needs_positions_to_score() -> None:
     params = init_predictor(VOCAB, fused_dim=3)
     policy = SchedulePolicy(1, 1)
@@ -281,13 +296,8 @@ def test_logits_whose_range_overflows_are_rejected_without_warnings() -> None:
 def test_empty_dataset_is_named() -> None:
     # next_token_accuracy([]) is covered by test_accuracy_needs_positions_to_score.
     params = init_predictor(VOCAB, fused_dim=3)
-    ffn = FfnParams(np.zeros((4, 5)), np.zeros(4), np.zeros((3, 4)), np.zeros(3))
-    gate = GateParams(np.zeros((3, 6)), np.zeros(3))
-    policy = SchedulePolicy(1, 1)
     with pytest.raises(ValueError, match="^dataset is empty$"):
-        interleaved_loss_and_grads([], policy, params)
-    with pytest.raises(ValueError, match="^dataset is empty$"):
-        fused_loss_and_grads([], policy, ffn, gate, params)
+        interleaved_loss_and_grads([], SchedulePolicy(1, 1), params)
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +326,10 @@ def test_interleaved_loss_gradients_match_finite_differences() -> None:
 
     def loss_and_grad(theta: np.ndarray):
         probe = rebuild(theta)
-        loss, grads, _ = interleaved_loss_and_grads([(C, Y)], policy, probe)
+        loss, grads = interleaved_loss_and_grads([(C, Y)], policy, probe)
         return loss, pack_arrays([grads[k] for k in keys])
 
     assert finite_diff_check(loss_and_grad, theta0, eps=1e-5) < 1e-5
-
-
-def test_interleaved_loss_gradient_wrt_inputs() -> None:
-    rng = np.random.default_rng(59)
-    policy = SchedulePolicy(1, 2)
-    params = init_predictor(VOCAB, fused_dim=3, rng=rng)
-    C = rng.standard_normal((3, 3))
-    Y = [VOCAB.speech_token(int(rng.integers(12))) for _ in range(4)]
-
-    def loss_and_grad(theta: np.ndarray):
-        probe = theta.reshape(C.shape)
-        loss, _, d_C = interleaved_loss_and_grads([(probe, Y)], policy, params)
-        return loss, d_C.ravel()
-
-    assert finite_diff_check(loss_and_grad, C.ravel(), eps=1e-5) < 1e-5
 
 
 def _looped_loss_and_grads(C, Y, policy, params):
@@ -342,7 +337,6 @@ def _looped_loss_and_grads(C, Y, policy, params):
     its visible prefix."""
     n, d = C.shape
     grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
-    d_C = np.zeros_like(C)
     total = 0.0
     for i, target in enumerate(Y, start=1):
         v = visible_prefix(i, n, policy)
@@ -358,9 +352,8 @@ def _looped_loss_and_grads(C, Y, policy, params):
         grads["feat_weight"] += np.outer(d_hidden, feature)
         grads["feat_bias"] += d_hidden
         d_feature = params.feat_weight.T @ d_hidden
-        d_C[:v] += d_feature[:d] / v
         grads["token_emb"][prev] += d_feature[d:]
-    return total, grads, d_C
+    return total, grads
 
 
 @settings(max_examples=150, deadline=None)
@@ -384,7 +377,7 @@ def test_batched_gradients_match_per_position_loop(R, W, lengths, alphabet, size
     tokens = [VOCAB.speech_token(k) for k in range(alphabet)] + [VOCAB.eos_id]
     pairs = [(rng.standard_normal((n, d)), [int(t) for t in rng.choice(tokens, m)]) for n, m in lengths]
 
-    loss, grads, d_C = interleaved_loss_and_grads(pairs, policy, params)
+    loss, grads = interleaved_loss_and_grads(pairs, policy, params)
     refs = [_looped_loss_and_grads(C, Y, policy, params) for C, Y in pairs]
     assert loss == pytest.approx(sum(r[0] for r in refs), rel=1e-12, abs=1e-300)
     terms = sum(interleaved_loss_terms(*p, policy, params).sum() for p in pairs)
@@ -393,29 +386,25 @@ def test_batched_gradients_match_per_position_loop(R, W, lengths, alphabet, size
     for key in grads:
         ref = sum(r[1][key] for r in refs)
         np.testing.assert_allclose(grads[key], ref, rtol=1e-12, atol=1e-12, err_msg=key)
-    np.testing.assert_allclose(d_C, np.concatenate([r[2] for r in refs]), rtol=1e-12, atol=1e-12)
 
-    # Rows that no position of their pair sees get exactly zero gradient.
-    # Changing the last pair's unseen rows changes nothing else, bit for bit.
-    for (C, Y), d_C_pair in zip(pairs, np.split(d_C, np.cumsum([len(C) for C, _ in pairs])[:-1])):
-        seen = max((visible_prefix(i, len(C), policy) for i in range(1, len(Y) + 1)), default=0)
-        assert not d_C_pair[seen:].any()
-    last = pairs[-1][0].copy()
+    # Changing the rows of the last pair that no position sees changes nothing, bit for bit.
+    C, Y = pairs[-1]
+    seen = max((visible_prefix(i, len(C), policy) for i in range(1, len(Y) + 1)), default=0)
+    last = C.copy()
     last[seen:] += 10.0 * rng.standard_normal((len(last) - seen, d))
-    loss_p, grads_p, d_C_p = interleaved_loss_and_grads([*pairs[:-1], (last, pairs[-1][1])], policy, params)
+    loss_p, grads_p = interleaved_loss_and_grads([*pairs[:-1], (last, Y)], policy, params)
     assert loss_p == loss
     for key in grads:
         np.testing.assert_array_equal(grads_p[key], grads[key])
-    np.testing.assert_array_equal(d_C_p, d_C)
 
 
-def _small_after_big(magnitude: float, big_targets: int):
-    """A 200-row pair of entries near ``magnitude`` and a 6-row pair of unit
-    entries, under a predictor whose feature weights are scaled by 30."""
+def _small_after_big(magnitude: float):
+    """A 200-row pair of entries near ``magnitude`` with no targets and a 6-row
+    pair of unit entries, under a predictor whose feature weights are scaled by 30."""
     rng = np.random.default_rng(61)
     params = init_predictor(VOCAB, fused_dim=3, rng=rng)
     params = params.replace({**params.arrays(), "feat_weight": 30.0 * params.feat_weight})
-    big = (magnitude * (1.0 + rng.random((200, 3))), [VOCAB.speech_token(k % 12) for k in range(big_targets)])
+    big = (magnitude * (1.0 + rng.random((200, 3))), [])
     small = (rng.standard_normal((6, 3)), [VOCAB.speech_token(int(t)) for t in rng.integers(12, size=6)])
     return params, big, small
 
@@ -423,19 +412,13 @@ def _small_after_big(magnitude: float, big_targets: int):
 @pytest.mark.parametrize("magnitude", [1e4, 1e8, 1e12])
 def test_pair_outputs_do_not_depend_on_earlier_pairs(magnitude) -> None:
     policy = SchedulePolicy(2, 3)
-    params, big, small = _small_after_big(magnitude, big_targets=0)
+    params, big, small = _small_after_big(magnitude)
     alone = interleaved_loss_and_grads([small], policy, params)
     after = interleaved_loss_and_grads([big, small], policy, params)
     # The big pair has no targets, so the losses and gradients hold small's terms alone.
     assert after[0] == alone[0]
     for key in alone[1]:
         np.testing.assert_array_equal(after[1][key], alone[1][key], err_msg=key)
-    assert not after[2][:200].any()
-    np.testing.assert_array_equal(after[2][200:], alone[2])
-    # With targets on the big pair, small's rows still get their own gradient.
-    params, big, small = _small_after_big(magnitude, big_targets=30)
-    d_C = interleaved_loss_and_grads([big, small], policy, params)[2]
-    np.testing.assert_allclose(d_C[200:], interleaved_loss_and_grads([small], policy, params)[2], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +576,10 @@ def test_decode_record_round_trips_trace() -> None:
     record = result.to_record()
     assert record["schema"] == "decode/v1"
     assert record["trace"] == [{"kind": READ, "count": 3}, {"kind": WRITE, "count": 1}]
+    # The trace is written in the schedule/v1 action form, by its one writer.
+    longer = decode_stream(iter(np.zeros((7, 4))), SchedulePolicy(2, 3), _speech_only_predictor(4, 0), DecodeConfig(max_tokens=11))
+    assert len(longer.trace) > 2
+    assert longer.to_record()["trace"] == actions_to_records(longer.trace)
 
 
 def _restacking_decode(C, policy, model, config):
@@ -974,7 +961,7 @@ def test_copy_task_reaches_high_accuracy_and_decodes_heldout() -> None:
 
 
 # ---------------------------------------------------------------------------
-# gate-fused training path
+# gate fusion
 
 
 def _fused_setup(rng: np.random.Generator):
@@ -989,107 +976,15 @@ def _fused_setup(rng: np.random.Generator):
     params = init_predictor(VOCAB, fused_dim=d, emb_dim=d, hidden_dim=5, rng=rng)
     hidden_states = rng.standard_normal((4, 6))
     text_ids = [int(rng.integers(4)) for _ in range(4)]  # a text id is its own local index
-    Y = [VOCAB.speech_token(int(rng.integers(12))) for _ in range(5)]
-    return ffn, gate, params, hidden_states, text_ids, Y
-
-
-def test_fused_loss_gradients_match_finite_differences() -> None:
-    rng = np.random.default_rng(97)
-    policy = SchedulePolicy(2, 2)
-    ffn, gate, params, hidden_states, text_ids, Y = _fused_setup(rng)
-    pred_arrays = params.arrays()
-    pred_keys = sorted(pred_arrays)
-    arrays = [ffn.w1, ffn.b1, ffn.w2, ffn.b2, gate.weight, gate.bias] + [
-        pred_arrays[k] for k in pred_keys
-    ]
-    shapes = [a.shape for a in arrays]
-
-    def loss_and_grad(theta: np.ndarray):
-        parts = unpack_arrays(theta, shapes)
-        probe_ffn = FfnParams(*parts[:4])
-        probe_gate = GateParams(parts[4], parts[5])
-        probe_params = params.replace(dict(zip(pred_keys, parts[6:])))
-        loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(
-            [(hidden_states, text_ids, Y)], policy, probe_ffn, probe_gate, probe_params
-        )
-        grad = [d_ffn.w1, d_ffn.b1, d_ffn.w2, d_ffn.b2, d_gate.weight, d_gate.bias] + [
-            d_pred[k] for k in pred_keys
-        ]
-        return loss, pack_arrays(grad)
-
-    assert finite_diff_check(loss_and_grad, pack_arrays(arrays), eps=1e-5) < 1e-5
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    lengths=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 8)), min_size=1, max_size=4),
-    R=st.integers(1, 3),
-    W=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_fused_gradients_over_samples_match_per_sample_loop(lengths, R, W, seed) -> None:
-    rng = np.random.default_rng(seed)
-    ffn, gate, params = _fused_setup(rng)[:3]
-    samples = [
-        (
-            rng.standard_normal((n, 6)),
-            [int(t) for t in rng.integers(2, size=n)],  # text ids repeat
-            [VOCAB.speech_token(int(t)) for t in rng.integers(3, size=m)],
-        )
-        for n, m in lengths
-    ]
-    policy = SchedulePolicy(R, W)
-    loss, d_ffn, d_gate, d_pred = fused_loss_and_grads(samples, policy, ffn, gate, params)
-    refs = [fused_loss_and_grads([s], policy, ffn, gate, params) for s in samples]
-    assert loss == pytest.approx(sum(r[0] for r in refs), rel=1e-12, abs=1e-300)
-    got = {**vars(d_ffn), **vars(d_gate), **d_pred}
-    for key, value in got.items():
-        ref = sum({**vars(r[1]), **vars(r[2]), **r[3]}[key] for r in refs)
-        np.testing.assert_allclose(value, ref, rtol=1e-12, atol=1e-12, err_msg=key)
-
-
-def test_fused_loss_rejects_misaligned_samples() -> None:
-    ffn, gate, params, hidden_states, text_ids, Y = _fused_setup(np.random.default_rng(100))
-    # 4 + 5 rows against 5 + 4 ids: the totals match, the samples do not.
-    samples = [(hidden_states, text_ids + [0], Y), (np.vstack([hidden_states, hidden_states[:1]]), text_ids, Y)]
-    with pytest.raises(ValueError, match="one text id per hidden state"):
-        fused_loss_and_grads(samples, SchedulePolicy(2, 2), ffn, gate, params)
-
-
-def test_fused_text_embedding_gradient_with_repeated_ids() -> None:
-    ffn, gate, params, hidden_states, _, Y = _fused_setup(np.random.default_rng(98))
-    text_ids = [2, 0, 2, 2]  # one table row receives three fusion-path gradients
-    policy = SchedulePolicy(2, 2)
-
-    def loss_and_grad(theta: np.ndarray):
-        probe = params.replace({**params.arrays(), "token_emb": theta.reshape(params.token_emb.shape)})
-        loss, _, _, d_pred = fused_loss_and_grads([(hidden_states, text_ids, Y)], policy, ffn, gate, probe)
-        return loss, d_pred["token_emb"].ravel()
-
-    assert finite_diff_check(loss_and_grad, params.token_emb.ravel(), eps=1e-5) < 1e-5
+    return ffn, gate, params, hidden_states, text_ids
 
 
 def test_fused_representations_match_row_by_row() -> None:
-    ffn, gate, params, hidden_states, text_ids, _ = _fused_setup(np.random.default_rng(99))
+    ffn, gate, params, hidden_states, text_ids = _fused_setup(np.random.default_rng(99))
     C = fused_representations(ffn, gate, params.token_emb, hidden_states, text_ids)
     for i, t in enumerate(text_ids):
         row = fused_representations(ffn, gate, params.token_emb, hidden_states[i : i + 1], [t])
         assert np.array_equal(C[i : i + 1], row)
-
-
-def test_fused_training_reduces_loss_with_frozen_sources() -> None:
-    rng = np.random.default_rng(101)
-    policy = SchedulePolicy(2, 2)
-    ffn, gate, params, hidden_states, text_ids, Y = _fused_setup(rng)
-    dataset = [(hidden_states, text_ids, Y)]
-    new_ffn, new_gate, new_params, curve = train_fused(
-        dataset, policy, ffn, gate, params, epochs=8, lr=0.3
-    )
-    assert curve[-1] < curve[0]
-    # source hidden states are inputs, not parameters: unchanged by training
-    C_before = fused_representations(ffn, gate, params.token_emb, hidden_states, text_ids)
-    C_after = fused_representations(new_ffn, new_gate, new_params.token_emb, hidden_states, text_ids)
-    assert C_before.shape == C_after.shape
 
 
 # ---------------------------------------------------------------------------
@@ -1149,7 +1044,7 @@ def test_pairs_round_trip(tmp_path) -> None:
     rng = np.random.default_rng(107)
     pairs = copy_task_dataset(VOCAB, 3, 4, 4, rng)
     path = tmp_path / "pairs.jsonl"
-    save_pairs(path, pairs)
+    records.write_jsonl(path, [{"schema": "fused-pairs/v1", "fused": C.tolist(), "tokens": Y} for C, Y in pairs])
     loaded = load_pairs(path)
     assert len(loaded) == 3
     for (C, Y), (C2, Y2) in zip(pairs, loaded):
