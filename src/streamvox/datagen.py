@@ -5,7 +5,10 @@ dialogue gets a fresh random prompt-voice id (varied instruction voices)
 while every response across a corpus shares one response-voice id; voices are
 carried as metadata only, no audio is produced.  Turn text comes from an
 offline template generator seeded per dialogue from the corpus seed, which
-must be a non-negative int (not a bool).
+must be a non-negative int (not a bool).  Dialogue ``i`` picks its turns with
+the draws of ``np.random.default_rng(seed * 100003 + i).integers(n)``; the
+stub draws them from its PCG64 stream in Python ints, so no numpy
+``Generator`` is moved for each dialogue.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ _FOLLOWUPS = (
 # seed_seq hash over a pool of 4 uint32 words) and of PCG64's pcg64_set_seed.
 # NumPy's compatibility policy (NEP 19) keeps the streams they seed fixed.
 _MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
 _HASH_INIT_A = 0x43B0D7E5
 _HASH_MULT_A = 0x931E8875
 _HASH_INIT_B = 0x8B51F9DD
@@ -122,22 +127,61 @@ def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
 
 @dataclass
 class StubGenerator:
-    """Offline template-based generator; deterministic under a fixed seed."""
+    """Offline template-based generator; deterministic under a fixed seed, a
+    non-negative int (not a bool).  Its turn picks are the draws of
+    ``np.random.default_rng(seed).integers(n)``, made in Python ints from the
+    seed's PCG64 ``(state, inc)``; it holds no numpy ``Generator``.  A
+    stand-alone stub reads its state from numpy's ``PCG64(seed)``;
+    :func:`generate_corpus` re-points one stub per dialogue to the states
+    that :func:`_pcg64_states` computes."""
 
     seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _state: int = field(init=False, repr=False)
+    _inc: int = field(init=False, repr=False)
+    _spare: int | None = field(init=False, repr=False)  # numpy's buffered high half
 
     def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        records.nonneg_int("seed", self.seed)
+        self._restart(np.random.PCG64(self.seed).state)
+
+    def _restart(self, state: dict) -> None:
+        """Move to the start of a stream given as a ``bit_generator.state`` dict."""
+        self._state, self._inc = state["state"]["state"], state["state"]["inc"]
+        self._spare = state["uinteger"] if state["has_uint32"] else None
+
+    def _next_uint32(self) -> int:
+        """numpy's ``pcg64_next32``: step the 128-bit LCG and take its XSL-RR
+        output (O'Neill 2014), which gives two draws, the low half first."""
+        if self._spare is not None:
+            out, self._spare = self._spare, None
+            return out
+        self._state = state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        out = (x >> rot | x << 64 - rot) & _MASK64
+        self._spare = out >> 32
+        return out & _MASK32
+
+    def _integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for ``1 <= n <= 2**32``: Lemire's bounded
+        draw (ACM TOMACS 2019) with numpy's rejection threshold ``2**32 % n``;
+        ``n == 1`` draws nothing."""
+        if n == 1:
+            return 0
+        m = self._next_uint32() * n
+        if m & _MASK32 < n:
+            threshold = 2**32 % n
+            while m & _MASK32 < threshold:
+                m = self._next_uint32() * n
+        return m >> 32
 
     def next_turn(self, history: Sequence[tuple[str, str]]) -> tuple[str, str]:
         turn = len(history) + 1
         if turn == 1:
-            topic = _TOPICS[int(self._rng.integers(len(_TOPICS)))]
+            topic = _TOPICS[self._integers(len(_TOPICS))]
             instruction = f"I need help with {topic}."
             response = f"Happy to help with {topic}. Let's start with the basics."
         else:
-            followup = _FOLLOWUPS[int(self._rng.integers(len(_FOLLOWUPS)))]
+            followup = _FOLLOWUPS[self._integers(len(_FOLLOWUPS))]
             instruction = f"{followup}"
             response = f"Building on turn {turn - 1}: here is the next step, in more detail."
         return instruction, response
@@ -244,7 +288,7 @@ def generate_corpus(
     seed: int,
     response_voice_id: str = DEFAULT_RESPONSE_VOICE,
 ) -> list[DialogueRecord]:
-    """Generate ``count`` dialogues from one stub generator, moved for
+    """Generate ``count`` dialogues from one stub generator, re-pointed for
     dialogue ``i`` to the start of ``StubGenerator(seed * 100003 + i)``'s
     stream; the corpus seed is a non-negative int."""
     records.positive_int("count", count)
@@ -256,7 +300,7 @@ def generate_corpus(
     for start in range(0, count, _STATE_BLOCK):
         for i, state in enumerate(_pcg64_states(seeds[start:start + _STATE_BLOCK]), start):
             stub.seed = seeds[i]
-            stub._rng.bit_generator.state = state
+            stub._restart(state)
             dialogues.append(build_dialogue(stub, rng, dialogue_id=f"dlg-{seed}-{i:06d}",
                                             response_voice_id=response_voice_id))
     return dialogues

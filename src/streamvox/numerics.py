@@ -191,6 +191,8 @@ def softmax(logits) -> np.ndarray:
 def _target_index(target, shape: tuple[int, ...]) -> np.ndarray:
     """Flat positions of ``target`` (one int, or one per row) in ``shape``."""
     target = np.asarray(target)
+    if target.dtype.kind not in "iu":
+        raise ValueError(f"target must be integers, got {target}")
     if target.size and not (0 <= target.min() and target.max() < shape[-1]):
         raise ValueError(f"target {target} out of range [0, {shape[-1]})")
     return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]) + target

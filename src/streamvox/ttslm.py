@@ -245,7 +245,9 @@ def _check_inputs(C, Y: Sequence[int], vocab: ExtendedVocab, width: int | None =
         raise ValueError(f"fused representations have width {C.shape[1]}, the predictor's fused_dim is {width}")
     if not np.isfinite(C).all():
         raise ValueError("fused representations are not finite")
-    for token in Y:
+    for i, token in enumerate(Y):
+        if isinstance(token, bool) or not isinstance(token, numbers.Integral):
+            raise ValueError(f"token at position {i} must be an integer id, got {token!r}")
         if vocab.kind(token) == KIND_TEXT:
             raise ValueError(f"token {token} is text-kind; speech streams may not contain it")
     return C
@@ -342,7 +344,9 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("greedy", "sampled"):
             raise ValueError(f"mode must be 'greedy' or 'sampled', got {self.mode!r}")
-        if not (isinstance(self.temperature, numbers.Real) and abs(self.temperature) <= sys.float_info.max):
+        if isinstance(self.temperature, bool) or not (
+            isinstance(self.temperature, numbers.Real) and abs(self.temperature) <= sys.float_info.max
+        ):
             raise ValueError(f"temperature must be finite, got {self.temperature!r}")
         if self.mode == "sampled" and not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")

@@ -348,3 +348,56 @@ def test_corpus_builds_its_stub_through_the_module_name(monkeypatch) -> None:
     assert corpus == reference_corpus(30, 11)
     # One next_turn per turn, each from the stub named by its dialogue's seed.
     assert seeds == [11 * 100003 + i for i, dialogue in enumerate(corpus) for _ in dialogue.turns]
+
+
+# ---------------------------------------------------------------------------
+# the stub's draws against numpy's Generator
+
+
+def numpy_turns(seed: int, count: int = 5) -> list[str]:
+    """The instructions of ``count`` stub turns, picked by
+    ``np.random.default_rng(seed)``: ``integers(8)``, then ``integers(4)``."""
+    rng = np.random.default_rng(seed)
+    first = f"I need help with {datagen._TOPICS[rng.integers(8)]}."
+    return [first, *(datagen._FOLLOWUPS[rng.integers(4)] for _ in range(count - 1))]
+
+
+def stub_turns(seed: int, count: int = 5) -> list[str]:
+    stub, turns = StubGenerator(seed), []
+    for _ in range(count):
+        turns.append(stub.next_turn(tuple(turns)))
+    return [instruction for instruction, _ in turns]
+
+
+@pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+def test_stub_turns_are_default_rng_draws_at_a_word_boundary(seed) -> None:
+    assert stub_turns(seed) == numpy_turns(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(1, 7).flatmap(seeds_of_width))
+def test_stub_turns_are_default_rng_draws(seed) -> None:
+    assert stub_turns(seed) == numpy_turns(seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 1000, 2**31 + 1, 2**32])
+@pytest.mark.parametrize("seed", [0, 5, 2**64 + 1, 10**30])
+def test_stub_draw_is_generator_integers(n, seed) -> None:
+    # 2**31 + 1 rejects about a quarter of its 32-bit draws; 1 draws nothing.
+    stub, rng = StubGenerator(seed), np.random.default_rng(seed)
+    assert [stub._integers(n) for _ in range(50)] == [int(rng.integers(n)) for _ in range(50)]
+    # The draws after it (both 32-bit halves of each output) still agree.
+    assert [stub._integers(m) for m in (8, 4, 3, 2**32)] == [int(rng.integers(m)) for m in (8, 4, 3, 2**32)]
+
+
+@pytest.mark.parametrize("seed", [True, 2.0, "1", None, np.int64(3), -1])
+def test_stub_seed_must_be_a_non_negative_int(seed) -> None:
+    with pytest.raises(ValueError) as info:
+        StubGenerator(seed)
+    assert str(info.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+
+def test_stub_holds_no_numpy_generator() -> None:
+    stub = StubGenerator(3)
+    stub.next_turn(())
+    assert not any(isinstance(value, (np.random.Generator, np.random.BitGenerator)) for value in vars(stub).values())

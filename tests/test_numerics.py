@@ -229,6 +229,25 @@ def test_cross_entropy_rejects_out_of_range_target() -> None:
         cross_entropy(np.zeros(3), -1)
 
 
+@pytest.mark.parametrize("target", [1.5, True, np.float64(1.0), [0.0, 1.0], np.array([True, False])])
+def test_cross_entropy_rejects_non_integer_targets(target) -> None:
+    logits = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+    if np.ndim(target) == 0:
+        logits = logits[0]
+    with pytest.raises(ValueError, match="^target must be integers, got"):
+        cross_entropy(logits, target)
+    with pytest.raises(ValueError, match="^target must be integers, got"):
+        cross_entropy_and_grads(logits, target)
+
+
+def test_cross_entropy_accepts_numpy_integer_targets() -> None:
+    logits = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+    for target in (np.array([2, 0], dtype=np.uint8), [np.int32(2), np.int64(0)]):
+        assert np.array_equal(cross_entropy(logits, target), cross_entropy(logits, [2, 0]))
+        assert np.array_equal(cross_entropy_and_grads(logits, target)[1], cross_entropy_and_grads(logits, [2, 0])[1])
+    assert cross_entropy(logits[0], np.int16(1)) == cross_entropy(logits[0], 1)
+
+
 def test_softmax_normalizes() -> None:
     probs = softmax(np.array([100.0, 101.0, 99.0]))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)

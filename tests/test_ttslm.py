@@ -250,6 +250,43 @@ def test_pairs_of_the_wrong_width_are_named() -> None:
         interleaved_loss_terms(pairs[1][0], Y, policy, params)
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, np.float64(2.0), np.bool_(True), "2", None])
+def test_non_integer_token_ids_are_named_by_position(bad) -> None:
+    # No text ids, so a truncated float or a bool would otherwise score as a speech id.
+    vocab = ExtendedVocab(text_size=0, speech_size=4)
+    policy = SchedulePolicy(1, 1)
+    params = init_predictor(vocab, fused_dim=2)
+    C = np.zeros((2, 2))
+    Y = [1, bad]
+    message = re.escape(f"token at position 1 must be an integer id, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^pair 0: {message}$"):
+        interleaved_loss_and_grads([(C, Y)], policy, params)
+    with pytest.raises(ValueError, match=f"^pair 0: {message}$"):
+        interleaved_loss_terms(C, Y, policy, params)
+    with pytest.raises(ValueError, match=f"^pair 1: {message}$"):
+        next_token_accuracy([(C, [1, 2]), (C, Y)], policy, params)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        predictive_distribution(C, Y, 3, policy, params)
+    with pytest.raises(ValueError, match=re.escape(f"token at position 0 must be an integer id, got {bad!r}")):
+        predictive_distribution(C, [bad], 2, policy, params)
+
+
+def test_numpy_integer_token_ids_are_accepted() -> None:
+    vocab = ExtendedVocab(text_size=0, speech_size=4)
+    policy = SchedulePolicy(1, 1)
+    params = init_predictor(vocab, fused_dim=2, rng=np.random.default_rng(3))
+    C = np.random.default_rng(4).standard_normal((2, 2))
+    loss, grads = interleaved_loss_and_grads([(C, [1, 2])], policy, params)
+    for Y in (np.array([1, 2]), np.array([1, 2], dtype=np.uint16), [np.int32(1), np.int64(2)]):
+        other_loss, other_grads = interleaved_loss_and_grads([(C, Y)], policy, params)
+        assert other_loss == loss
+        assert all(np.array_equal(other_grads[k], grads[k]) for k in grads)
+        assert np.array_equal(interleaved_loss_terms(C, Y, policy, params), interleaved_loss_terms(C, [1, 2], policy, params))
+        assert next_token_accuracy([(C, Y)], policy, params) == next_token_accuracy([(C, [1, 2])], policy, params)
+        assert np.array_equal(predictive_distribution(C, Y, 3, policy, params),
+                              predictive_distribution(C, [1, 2], 3, policy, params))
+
+
 def test_accuracy_needs_positions_to_score() -> None:
     params = init_predictor(VOCAB, fused_dim=3)
     policy = SchedulePolicy(1, 1)
@@ -567,6 +604,14 @@ def test_decode_config_names_the_bad_field(fields, message) -> None:
 def test_decode_config_accepts_zero_seed_and_tokens() -> None:
     assert DecodeConfig(mode="sampled", max_tokens=0, seed=0).seed == 0
     assert DecodeConfig(seed=2**70).seed == 2**70
+
+
+@pytest.mark.parametrize("temperature", [True, False])
+def test_decode_config_rejects_a_bool_temperature(temperature) -> None:
+    for mode in ("sampled", "greedy"):
+        with pytest.raises(ValueError) as info:
+            DecodeConfig(mode=mode, temperature=temperature)
+        assert str(info.value) == f"temperature must be finite, got {temperature!r}"
 
 
 def test_decode_record_round_trips_trace() -> None:
