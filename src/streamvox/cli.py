@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
         timeline = pipeline.simulate_stream(scenario, timings)
     _emit(args, breakdown.to_record())
     if timeline is not None:
-        records.write_jsonl(_resolve_out(args.timeline), pipeline.chunk_lines(timeline.chunks), encode=str)
+        records.write_jsonl(_resolve_out(args.timeline), pipeline.chunk_lines(timeline), encode=str)
     return 0
 
 

@@ -20,7 +20,9 @@ chunk j and through chunk j - 1.  FM and VOC process each chunk independently
 and are evaluated at the chunk's own size.  Beyond the first chunk the
 simulator applies per-stage FIFO pipelining (stage s of chunk j starts when
 both stage s-1 of chunk j and stage s of chunk j-1 have finished); that
-extension is this module's convention, not a measured behavior.
+extension is this module's convention, not a measured behavior.  A
+:class:`Timeline` holds one column of starts and one of finishes per stage,
+with one stage set per timeline; its ``chunks`` are a view built on request.
 
 ``FIRST_CHUNK_MEASUREMENTS`` bundles reference measurements of a production
 modular speech assistant at five LLM scales (0.5B-14B, single L40 GPU),
@@ -30,8 +32,9 @@ demos and the regression tests.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -227,6 +230,8 @@ class LatencyBreakdown:
 
 @dataclass(slots=True)
 class ChunkTiming:
+    """One chunk of a :class:`Timeline`, as :attr:`Timeline.chunks` builds it."""
+
     index: int
     token_start: int
     token_end: int
@@ -241,85 +246,97 @@ class ChunkTiming:
 _NO_TIME = object()  # a sentinel that is no chunk's time
 
 
-def chunk_lines(chunks: Iterable[ChunkTiming]) -> Iterator[str]:
+def chunk_lines(timeline: Timeline | Iterable[ChunkTiming]) -> Iterator[str]:
     """Each chunk's ``timeline-chunk/v1`` record as ``records.dumps_canonical``
-    writes it: keys and stage names sorted, numbers by ``repr``, which is the
-    JSON text of every int and finite float (:meth:`Timeline.validate`
-    rejects non-finite times).
-
-    Stages are formatted in pipeline order.  A start that *is* the finish
-    just formatted before it in its chunk, or its stage's finish in the
-    previous chunk, reuses that finish's text, as :func:`simulate_stream`'s
-    starts do; any other start is formatted by ``repr``.  Reuse goes by
-    object identity, never by value (``0.0 == -0.0``), so the text is
-    ``repr``'s whatever the times are.
-    """
-    keys = None
-    for chunk in chunks:
-        stages = chunk.stages
-        if stages.keys() != keys:
-            keys, names = stages.keys(), sorted(stages)
-            ranked = [s for s in STAGES if s in stages] + [s for s in names if s not in STAGES]
-            # (stage, its place among the sorted names, its text's head) in pipeline order
-            order = [(s, names.index(s), f'"{s}":[') for s in ranked]
-            count = len(names)
-            # Each stage's finish in the previous chunk, and its text, by place.
-            last_finish, last_text = [_NO_TIME] * count, [""] * count
-        parts = [""] * count
-        upstream, upstream_text = _NO_TIME, ""  # the finish formatted just before, and its text
-        for stage, k, head in order:
-            start, finish = stages[stage]
-            if start is upstream:
-                start_text = upstream_text
-            elif start is last_finish[k]:
-                start_text = last_text[k]
-            else:
-                start_text = repr(start)
-            upstream = last_finish[k] = finish
-            upstream_text = last_text[k] = repr(finish)
-            parts[k] = f"{head}{start_text},{upstream_text}]"
-        yield (f'{{"chunk":{chunk.index!r},"reads_total":{chunk.reads_total!r},"schema":"timeline-chunk/v1",'
-               f'"stages":{{{",".join(parts)}}},"token_end":{chunk.token_end!r},"token_start":{chunk.token_start!r}}}')
+    writes it (keys and stage names sorted, numbers by ``repr``), formatted
+    one stage column at a time.  A start that *is* the finish of the stage
+    before it in pipeline order, or its stage's finish in the previous chunk,
+    reuses that finish's text; any other start is formatted by ``repr``.
+    Reuse goes by object identity, never by value (``0.0 == -0.0``)."""
+    if not isinstance(timeline, Timeline):
+        timeline = Timeline(None, timeline)
+    intervals, names = timeline.intervals, sorted(timeline.intervals)
+    # The finish formatted just before in each chunk, and its text.
+    upstream, upstream_text = itertools.repeat(_NO_TIME), itertools.repeat("")
+    parts = {}
+    for stage in [s for s in STAGES if s in intervals] + [s for s in names if s not in STAGES]:
+        starts, finishes = intervals[stage]
+        finish_text = [repr(finish) for finish in finishes]
+        parts[stage] = [
+            f'"{stage}":[{up_text if start is up else last_text if start is last else repr(start)},{text}]'
+            for start, text, up, up_text, last, last_text in zip(
+                starts, finish_text, upstream, upstream_text, [_NO_TIME, *finishes], ["", *finish_text])
+        ]
+        upstream, upstream_text = finishes, finish_text
+    stage_parts = zip(*(parts[s] for s in names)) if names else itertools.repeat(())
+    for index, reads_total, token_end, token_start, stages in zip(
+            timeline.index, timeline.reads_total, timeline.token_end, timeline.token_start, stage_parts):
+        yield (f'{{"chunk":{index!r},"reads_total":{reads_total!r},"schema":"timeline-chunk/v1",'
+               f'"stages":{{{",".join(stages)}}},"token_end":{token_end!r},"token_start":{token_start!r}}}')
 
 
-@dataclass
 class Timeline:
-    scenario: ScenarioConfig
-    chunks: list[ChunkTiming] = field(default_factory=list)
+    """A simulated stream held as columns: per chunk its ``index``,
+    ``token_start``, ``token_end`` and ``reads_total``, and per stage one list
+    of starts and one of finishes (``intervals``).  Chunks given to build one
+    share one stage set; :attr:`chunks` is a view built on request."""
+
+    def __init__(self, scenario: ScenarioConfig | None, chunks: Iterable[ChunkTiming] = ()) -> None:
+        self.scenario = scenario
+        chunks = list(chunks)
+        stages = chunks[0].stages.keys() if chunks else {}
+        for chunk in chunks:
+            if chunk.stages.keys() != stages:
+                raise ValueError(f"chunk {chunk.index} has stages {sorted(chunk.stages)}, not {sorted(stages)}")
+        self.index, self.token_start, self.token_end, self.reads_total = (
+            [getattr(c, name) for c in chunks] for name in ("index", "token_start", "token_end", "reads_total"))
+        self.intervals: dict[str, tuple[list[float], list[float]]] = {
+            s: ([c.stages[s][0] for c in chunks], [c.stages[s][1] for c in chunks]) for s in stages}
+
+    def _chunk(self, i: int) -> ChunkTiming:
+        return ChunkTiming(self.index[i], self.token_start[i], self.token_end[i], self.reads_total[i],
+                           {stage: (starts[i], finishes[i]) for stage, (starts, finishes) in self.intervals.items()})
+
+    @property
+    def chunks(self) -> list[ChunkTiming]:
+        """One :class:`ChunkTiming` per chunk, built on each read."""
+        return [self._chunk(i) for i in range(len(self.index))]
 
     @property
     def first_chunk_completion_ms(self) -> float:
-        if not self.chunks:
+        if not self.index:
             raise ValueError("timeline has no chunks")
-        return self.chunks[0].finish_ms
+        return self._chunk(0).finish_ms
 
     def validate(self) -> None:
         """Check ordering invariants: stages run forward within a chunk, every
         time is finite, and within a stage chunk j never starts before chunk
-        j-1 finishes.  Every chunk's own checks run before the checks across
-        chunks."""
-        low, high = -math.inf, math.inf
-        keys = adjacent = None
-        for chunk in self.chunks:
-            stages = chunk.stages
-            if stages.keys() != keys:
-                keys, order = stages.keys(), [s for s in STAGES if s in stages]
-                adjacent = list(zip(order, order[1:]))
-            for prev, cur in adjacent:
-                if stages[cur][0] < stages[prev][1]:
+        j-1 finishes.  numpy finds the chunks that break one, comparing times
+        as float64; every chunk's own checks come before those across chunks."""
+        order = [s for s in STAGES if s in self.intervals]
+        times = {stage: np.array(columns, dtype=float) for stage, columns in self.intervals.items()}
+        own = np.zeros(len(self.index), dtype=bool)
+        across = own.copy()  # chunk i starts a stage before chunk i-1 finishes it
+        for prev, cur in zip(order, order[1:]):
+            own |= times[cur][0] < times[prev][1]
+        for start, finish in times.values():
+            own |= ~((-math.inf < start) & (start <= finish) & (finish < math.inf))
+            across[1:] |= start[1:] < finish[:-1]
+        for i in np.flatnonzero(own).tolist():
+            chunk = self._chunk(i)
+            for prev, cur in zip(order, order[1:]):
+                if chunk.stages[cur][0] < chunk.stages[prev][1]:
                     raise ValueError(f"chunk {chunk.index}: stage {cur} starts before {prev} finishes")
-            for stage, (start, finish) in stages.items():
-                if not low < start <= finish < high:
+            for stage, (start, finish) in chunk.stages.items():
+                if not -math.inf < start <= finish < math.inf:
                     if math.isfinite(start) and math.isfinite(finish):
                         raise ValueError(f"chunk {chunk.index}: stage {stage} finishes before it starts")
                     raise ValueError(f"chunk {chunk.index}: stage {stage} time is not finite ({start!r}, {finish!r})")
-        for prev, cur in zip(self.chunks, self.chunks[1:]):
-            before = prev.stages
+        for i in np.flatnonzero(across).tolist():
+            prev, cur = self._chunk(i - 1), self._chunk(i)
             for stage, (start, _) in cur.stages.items():
-                if stage in before and start < before[stage][1]:
-                    raise ValueError(
-                        f"stage {stage}: chunk {cur.index} starts before chunk {prev.index} finishes"
-                    )
+                if start < prev.stages[stage][1]:
+                    raise ValueError(f"stage {stage}: chunk {cur.index} starts before chunk {prev.index} finishes")
 
 
 def first_chunk_latency(timings: StageTimings, policy: SchedulePolicy) -> LatencyBreakdown:
@@ -333,14 +350,7 @@ def first_chunk_latency(timings: StageTimings, policy: SchedulePolicy) -> Latenc
     total = llm + tts + synth
     if not math.isfinite(total):
         raise ValueError(f"first-chunk latency is not finite: llm {llm!r} + tts {tts!r} + synthesis {synth!r} ms")
-    return LatencyBreakdown(
-        llm_ms=llm,
-        tts_ms=tts,
-        fm_voc_ms=synth,
-        total_ms=total,
-        fm_ms=fm,
-        voc_ms=voc,
-    )
+    return LatencyBreakdown(llm_ms=llm, tts_ms=tts, fm_voc_ms=synth, total_ms=total, fm_ms=fm, voc_ms=voc)
 
 
 def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline:
@@ -354,22 +364,22 @@ def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline
     policy = scenario.policy
     n, m = scenario.n_text, scenario.m_speech
     r, w = policy.read_block, policy.write_block
-    chunk_count = (m + w - 1) // w
     llm_cost_ms, tts_cost_ms = timings.llm.cost_ms, timings.tts.cost_ms
     synthesis = timings.synthesis()
     synth_done = [0.0] * len(synthesis)
 
-    chunks: list[ChunkTiming] = []
+    timeline = Timeline(scenario)
+    timeline.index = list(range(1, (m + w - 1) // w + 1))
+    timeline.token_end = [min(j * w, m) for j in timeline.index]
+    timeline.token_start = [1] + [end + 1 for end in timeline.token_end[:-1]]
+    timeline.reads_total = [min(j * r, n) for j in timeline.index]
+    timeline.intervals = {stage: ([], []) for stage in (STAGE_LLM, STAGE_TTS, *(s for s, _ in synthesis))}
+    (llm_starts, llm_finishes), (tts_starts, tts_finishes), *synth_columns = timeline.intervals.values()
+    synth = [(cost, *columns) for (_, cost), columns in zip(synthesis, synth_columns)]
     # Cumulative llm and tts costs through chunk j-1; count 0 is free.
-    llm_start = 0.0
-    tts_prev = 0.0
-    tts_done = 0.0
-    prev_tokens = 0
-    for j in range(1, chunk_count + 1):
-        token_end = min(j * w, m)
-        chunk_tokens = token_end - prev_tokens
-        reads_total = min(j * r, n)
-
+    llm_start = tts_prev = tts_done = 0.0
+    for token_start, token_end, reads_total in zip(timeline.token_start, timeline.token_end, timeline.reads_total):
+        chunk_tokens = token_end - token_start + 1
         llm_finish = llm_cost_ms(reads_total)
         if llm_finish < llm_start:
             raise ValueError("llm timing model is not non-decreasing in the token count")
@@ -381,18 +391,17 @@ def simulate_stream(scenario: ScenarioConfig, timings: StageTimings) -> Timeline
         tts_start = max(llm_finish, tts_done)
         tts_done = tts_start + tts_service
 
-        stages = {STAGE_LLM: (llm_start, llm_finish), STAGE_TTS: (tts_start, tts_done)}
+        llm_starts.append(llm_start)
+        llm_finishes.append(llm_finish)
+        tts_starts.append(tts_start)
+        tts_finishes.append(tts_done)
         upstream = tts_done
-        for k, (stage, cost) in enumerate(synthesis):
+        for k, (cost, starts, finishes) in enumerate(synth):
             start = max(upstream, synth_done[k])
             upstream = synth_done[k] = start + cost(chunk_tokens)
-            stages[stage] = (start, upstream)
-
-        chunks.append(ChunkTiming(j, prev_tokens + 1, token_end, reads_total, stages))
-        llm_start = llm_finish
-        tts_prev = tts_cost
-        prev_tokens = token_end
-    timeline = Timeline(scenario, chunks)
+            starts.append(start)
+            finishes.append(upstream)
+        llm_start, tts_prev = llm_finish, tts_cost
     timeline.validate()
     return timeline
 
@@ -468,11 +477,7 @@ TIMING_SCALES = ("0.5b", "1.5b", "3b", "7b", "14b")
 
 def row_timings(row: LatencyRow) -> StageTimings:
     """Single-entry lookup models reproducing exactly one measured row."""
-    return StageTimings(
-        llm=StageTimingModel.lookup(STAGE_LLM, {row.reads: row.llm_ms}),
-        tts=StageTimingModel.lookup(STAGE_TTS, {row.writes: row.tts_ms}),
-        fm_voc=StageTimingModel.lookup(STAGE_FM_VOC, {row.writes: row.fm_voc_ms}),
-    )
+    return _lookup_timings([row])
 
 
 def scale_timings(scale: str) -> StageTimings:
@@ -480,23 +485,18 @@ def scale_timings(scale: str) -> StageTimings:
     rows = [r for r in FIRST_CHUNK_MEASUREMENTS if r.scale == scale]
     if not rows:
         raise ValueError(f"unknown timing scale {scale!r}, expected one of {TIMING_SCALES}")
-    llm: dict[int, float] = {}
-    tts: dict[int, float] = {}
-    fm_voc: dict[int, float] = {}
+    return _lookup_timings(rows)
+
+
+def _lookup_timings(rows: Sequence[LatencyRow]) -> StageTimings:
+    """Lookup models holding every row's costs; two costs at one count raise ``ValueError``."""
+    tables: dict[str, dict[int, float]] = {STAGE_LLM: {}, STAGE_TTS: {}, STAGE_FM_VOC: {}}
     for row in rows:
-        for table, key, value in (
-            (llm, row.reads, row.llm_ms),
-            (tts, row.writes, row.tts_ms),
-            (fm_voc, row.writes, row.fm_voc_ms),
-        ):
-            if key in table and table[key] != value:
-                raise ValueError(f"inconsistent measurements for scale {scale!r} at count {key}")
-            table[key] = value
-    return StageTimings(
-        llm=StageTimingModel.lookup(STAGE_LLM, llm),
-        tts=StageTimingModel.lookup(STAGE_TTS, tts),
-        fm_voc=StageTimingModel.lookup(STAGE_FM_VOC, fm_voc),
-    )
+        for stage, key, value in ((STAGE_LLM, row.reads, row.llm_ms), (STAGE_TTS, row.writes, row.tts_ms),
+                                  (STAGE_FM_VOC, row.writes, row.fm_voc_ms)):
+            if tables[stage].setdefault(key, value) != value:
+                raise ValueError(f"inconsistent measurements for scale {row.scale!r} at count {key}")
+    return StageTimings(**{stage: StageTimingModel.lookup(stage, table) for stage, table in tables.items()})
 
 
 def timing_preset(name: str) -> StageTimings:

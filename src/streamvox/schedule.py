@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .records import positive_int, prefixed
+from .records import nonneg_int, positive_int, prefixed
 
 READ = "read"
 WRITE = "write"
@@ -62,21 +62,24 @@ def visible_prefix(position: int, total_reps: int, policy: SchedulePolicy) -> in
 
     Equals ``min((floor((position - 1) / write_block) + 1) * read_block,
     total_reps)``: every completed write block unlocks one more read block,
-    capped at the number of representations that exist.
+    capped at the number of representations that exist.  ``position`` must
+    be an int >= 1 and ``total_reps`` an int >= 0, neither a bool.
     """
-    if position < 1:
-        raise ValueError(f"positions are 1-based, got {position}")
-    if total_reps < 0:
-        raise ValueError(f"total_reps must be >= 0, got {total_reps}")
-    blocks = (position - 1) // policy.write_block + 1
-    return min(blocks * policy.read_block, total_reps)
+    positive_int("position", position)
+    nonneg_int("total_reps", total_reps)
+    return _visible_prefix(position, total_reps, policy)
+
+
+def _visible_prefix(position: int, total_reps: int, policy: SchedulePolicy) -> int:
+    """:func:`visible_prefix` of arguments already checked."""
+    return min(((position - 1) // policy.write_block + 1) * policy.read_block, total_reps)
 
 
 def training_mask(total_reps: int, total_tokens: int, policy: SchedulePolicy) -> list[int]:
     """Per-position visibility counts for a training pair of lengths
     (``total_reps`` fused representations, ``total_tokens`` speech tokens)."""
     _check_lengths(total_reps, total_tokens)
-    return [visible_prefix(i, total_reps, policy) for i in range(1, total_tokens + 1)]
+    return [_visible_prefix(i, total_reps, policy) for i in range(1, total_tokens + 1)]
 
 
 def build_sequence(total_reps: int, total_tokens: int, policy: SchedulePolicy) -> list[Action]:
@@ -149,9 +152,9 @@ def validate_sequence(
     for prev, cur in zip(actions, actions[1:]):
         if prev.kind == READ and cur.kind == READ:
             raise ValueError("consecutive read actions")
-    implied = implied_read_counts(actions)
-    for i, got in enumerate(implied, start=1):
-        expected = visible_prefix(i, total_reps, policy)
+    nonneg_int("total_reps", total_reps)
+    for i, got in enumerate(implied_read_counts(actions), start=1):
+        expected = _visible_prefix(i, total_reps, policy)
         if got != expected:
             raise ValueError(
                 f"write position {i} sees {got} representations, expected {expected}"
@@ -193,7 +196,6 @@ def actions_from_records(records: Iterable) -> list[Action]:
 
 
 def _check_lengths(total_reps: int, total_tokens: int) -> None:
-    if total_reps < 1:
-        raise ValueError(f"need at least one fused representation, got {total_reps}")
-    if total_tokens < 0:
-        raise ValueError(f"total_tokens must be >= 0, got {total_tokens}")
+    """At least one fused representation and no negative token count, both ints and not bools."""
+    positive_int("total_reps", total_reps)
+    nonneg_int("total_tokens", total_tokens)

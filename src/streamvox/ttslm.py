@@ -161,11 +161,22 @@ class PredictorParams:
         ``(v, 1)`` prefix pairwise instead)."""
         visible = np.asarray(visible, dtype=float)
         self._check_visible(visible.shape)
-        prev = prev_ids[-1] if len(prev_ids) else self.start_row
-        return self.forward(np.cumsum(visible, axis=0)[-1] / len(visible), prev)[-1]
+        return self.forward(np.cumsum(visible, axis=0)[-1] / len(visible), self._prev_row(prev_ids))[-1]
 
     def session(self) -> "PredictorSession":
         return PredictorSession(self)
+
+    def _prev_row(self, prev_ids: Sequence[int]) -> int:
+        """The embedding row of the last of ``prev_ids``, which must be an int
+        or numpy integer below the vocabulary size ``len(out_bias)``; the start
+        row when there is none."""
+        if not len(prev_ids):
+            return self.start_row
+        prev = prev_ids[-1]
+        if (type(prev) is not int and (isinstance(prev, bool) or not isinstance(prev, numbers.Integral))
+                or not 0 <= prev < len(self.out_bias)):
+            raise ValueError(f"previous token id {prev!r} is not a vocabulary id in [0, {len(self.out_bias)})")
+        return prev
 
     def _check_visible(self, shape: tuple) -> None:
         if len(shape) != 2 or shape[0] < 1 or shape[1] != self.fused_dim:
@@ -210,8 +221,7 @@ class PredictorSession:
         if self.mean is None:
             self.params._check_visible((self.count, self.params.fused_dim))
             self.mean = self.total / self.count
-        prev = prev_ids[-1] if len(prev_ids) else self.params.start_row
-        return self.params.forward(self.mean, prev)[-1]
+        return self.params.forward(self.mean, self.params._prev_row(prev_ids))[-1]
 
 
 def init_predictor(
@@ -303,9 +313,12 @@ def interleaved_loss_terms(
 def predictive_distribution(
     C, prev_ids: Sequence[int], position: int, policy: SchedulePolicy, model: Predictor
 ) -> np.ndarray:
-    """Distribution over the next token at 1-based ``position``."""
+    """Distribution over the next token at 1-based ``position``, which must
+    follow ``prev_ids``: ``position == len(prev_ids) + 1``."""
     C = _check_inputs(C, prev_ids, model.vocab)
     v = visible_prefix(position, C.shape[0], policy)
+    if position != len(prev_ids) + 1:
+        raise ValueError(f"position {position} must follow the {len(prev_ids)} previous ids, at {len(prev_ids) + 1}")
     return softmax(model.logits(C[:v], prev_ids))
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
 import pytest
 
-from streamvox import datagen, records
+from streamvox import datagen, pipeline, records
 from streamvox.cli import OUT_DIR_ENV, build_parser, main, validate_config
 
 
@@ -125,6 +126,53 @@ def test_simulate_rejects_non_object_timing_record(tmp_path, capsys) -> None:
     records.write_json(path, {"stages": [5]})
     code, out, err = run(capsys, "simulate", "--timing", str(path), "--R", "3", "--W", "10")
     assert (code, out, err) == (1, "", "error: stages[0]: timing record must be an object, got 5\n")
+
+
+def _simulate_digest(tmp_path, capsys, timing: str, cases) -> str:
+    """sha256 over the timeline bytes, then the breakdown bytes, of each
+    ``simulate --R --W --n-text --m-speech`` call in ``cases``."""
+    digest = hashlib.sha256()
+    for r, w, n_text, m_speech in cases:
+        timeline, breakdown = tmp_path / "timeline.jsonl", tmp_path / "breakdown.json"
+        code, _, _ = run(capsys, "simulate", "--timing", timing, "--R", str(r), "--W", str(w),
+                         "--n-text", str(n_text), "--m-speech", str(m_speech),
+                         "--timeline", str(timeline), "--out", str(breakdown))
+        assert code == 0
+        digest.update(timeline.read_bytes())
+        digest.update(breakdown.read_bytes())
+    return digest.hexdigest()
+
+
+def test_simulate_bytes_on_calibrated_models(tmp_path, capsys) -> None:
+    """The benchmark's simulate calls: llm, tts and fm_voc fitted by
+    ``calibrate`` from the bundled points, then 10000 speech tokens at each
+    (R, W) of the measured sweep."""
+    stages = []
+    for stage in ("llm", "tts", "fm_voc"):
+        points, fitted = tmp_path / f"points_{stage}.json", tmp_path / f"calibrated_{stage}.json"
+        points.write_text(json.dumps([list(p) for p in pipeline.calibration_points(stage)]))
+        assert run(capsys, "calibrate", "--points", str(points), "--stage", stage, "--out", str(fitted))[0] == 0
+        stages.append(json.loads(fitted.read_text())["model"])
+    timing = tmp_path / "timing.json"
+    timing.write_text(json.dumps({"stages": stages}))
+    sweep = [(1, 5), (2, 10), (3, 10), (3, 15), (4, 15), (5, 20)]
+    cases = [(r, w, -(-10000 // w) * r, 10000) for r, w in sweep]
+    assert _simulate_digest(tmp_path, capsys, str(timing), cases) == (
+        "85e5a7c13eb180ff7f7d8c69fc64a6bc3ad96f04f344576bbed44f29cf3c78fc")
+
+
+def test_simulate_bytes_on_a_lookup_preset_and_separate_synthesis(tmp_path, capsys) -> None:
+    assert _simulate_digest(tmp_path, capsys, "table7b", [(1, 5, 4, 20), (3, 10, 3, 10)]) == (
+        "9dfa0546a7a7bbb49eae0fdaf0ed58d5b3a4f331691c8c033cbbb58404baf256")
+    timing = tmp_path / "timing.json"
+    timing.write_text(json.dumps({"stages": [
+        {"schema": "timing/v1", "stage": "llm", "form": "affine", "intercept_ms": 164.32, "per_token_ms": 21.61},
+        {"schema": "timing/v1", "stage": "tts", "form": "affine", "intercept_ms": 0.0, "per_token_ms": 16.68},
+        {"schema": "timing/v1", "stage": "fm", "form": "affine", "intercept_ms": 12.5, "per_token_ms": 3.3},
+        {"schema": "timing/v1", "stage": "voc", "form": "affine", "intercept_ms": 1.25, "per_token_ms": 0.7},
+    ]}))
+    assert _simulate_digest(tmp_path, capsys, str(timing), [(2, 7, 300, 1000), (3, 4, 5, 30)]) == (
+        "6ac4d813650d150226648e433a57d9e3a6d884eadc840cf9035ac7f36e9f5a62")
 
 
 def _affine_doc(*stages: str) -> dict:

@@ -287,7 +287,7 @@ def reference_simulate(scenario: ScenarioConfig, timings: StageTimings) -> Timel
     def llm_ready(count: int) -> float:
         return timings.llm.cost_ms(count)
 
-    timeline = Timeline(scenario=scenario)
+    chunks = []
     tts_done = 0.0
     synth_done = {stage: 0.0 for stage, _ in timings.synthesis()}
     prev_reads = 0
@@ -322,9 +322,10 @@ def reference_simulate(scenario: ScenarioConfig, timings: StageTimings) -> Timel
             synth_done[STAGE_VOC] = voc_start + timings.voc.cost_ms(mel_frames(chunk_tokens))
             stages[STAGE_VOC] = (voc_start, synth_done[STAGE_VOC])
 
-        timeline.chunks.append(ChunkTiming(j, prev_tokens + 1, token_end, reads_total, stages))
+        chunks.append(ChunkTiming(j, prev_tokens + 1, token_end, reads_total, stages))
         prev_reads = reads_total
         prev_tokens = token_end
+    timeline = Timeline(scenario, chunks)
     timeline.validate()
     return timeline
 
@@ -503,13 +504,14 @@ NEIGHBOURS = st.sampled_from([0.0, -0.0, 1.5, 1e16, 5e-324])
 def test_chunk_lines_reuse_text_by_identity_only(data, count) -> None:
     """Hand-built chunks whose starts are the finish before them in the
     chunk or their stage's finish in the previous chunk, a distinct float of
-    the same value, or another value (0.0 next to -0.0); stages inserted in
-    any order, and key sets that change between chunks."""
+    the same value, or another value (0.0 next to -0.0); one key set per
+    timeline, its stages inserted in any order."""
     key_sets = [(STAGE_LLM, STAGE_TTS, STAGE_FM_VOC), (STAGE_LLM, STAGE_TTS, STAGE_FM, STAGE_VOC),
                 (STAGE_TTS, STAGE_VOC), ("zz", STAGE_LLM)]
+    key_set = data.draw(st.sampled_from(key_sets))
     chunks, previous = [], {}
     for j in range(1, count + 1):
-        names = data.draw(st.permutations(data.draw(st.sampled_from(key_sets))))
+        names = data.draw(st.permutations(key_set))
         finish = None
         stages = {}
         for name in sorted(names, key=lambda s: STAGES.index(s) if s in STAGES else len(STAGES)):
@@ -554,8 +556,9 @@ NAN, INF = math.nan, math.inf
         # the same, with the stages inserted out of pipeline order
         ([{STAGE_FM_VOC: (2.0, 3.0), STAGE_TTS: (0.5, 2.0), STAGE_LLM: (0.0, 1.0)}],
          "chunk 1: stage tts starts before llm finishes"),
-        # chunk 2 has other stages than chunk 1, so its own order applies
-        ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 4.0), STAGE_FM: (4.0, 5.0), STAGE_VOC: (4.5, 6.0)}],
+        # separate fm and voc stages follow each other in pipeline order
+        ([{STAGE_LLM: (0.0, 1.0), STAGE_TTS: (1.0, 2.0), STAGE_FM: (2.0, 3.0), STAGE_VOC: (3.0, 4.0)},
+          {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 4.0), STAGE_FM: (4.0, 5.0), STAGE_VOC: (4.5, 6.0)}],
          "chunk 2: stage voc starts before fm finishes"),
         # a stage finishes before it starts
         ([FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 4.0), STAGE_FM_VOC: (5.0, 4.5)}],
@@ -596,8 +599,136 @@ def test_validate_names_the_first_broken_invariant(chunks, message) -> None:
 
 def test_validate_accepts_touching_and_empty_intervals() -> None:
     hand_timeline({STAGE_LLM: (0.0, -0.0), STAGE_TTS: (0.0, 2.0), STAGE_FM_VOC: (2.0, 3.0)},
-                  {STAGE_LLM: (0.0, 2.0), STAGE_TTS: (2.0, 2.0), STAGE_FM_VOC: (3.0, 3.0)},
-                  {STAGE_LLM: (2.0, 2.0), STAGE_TTS: (2.0, 5.0), STAGE_FM: (5.0, 6.0), STAGE_VOC: (6.0, 7.0)}).validate()
+                  {STAGE_LLM: (0.0, 2.0), STAGE_TTS: (2.0, 2.0), STAGE_FM_VOC: (3.0, 3.0)}).validate()
+    hand_timeline({STAGE_LLM: (2.0, 2.0), STAGE_TTS: (2.0, 5.0), STAGE_FM: (5.0, 6.0), STAGE_VOC: (6.0, 7.0)}).validate()
+
+
+def test_a_timeline_has_one_stage_set() -> None:
+    with pytest.raises(ValueError, match=r"^chunk 2 has stages \['fm', 'llm', 'tts', 'voc'\], not \['fm_voc', 'llm', 'tts'\]$"):
+        hand_timeline(FIRST, {STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 4.0), STAGE_FM: (4.0, 5.0), STAGE_VOC: (5.0, 6.0)})
+    with pytest.raises(ValueError, match="^chunk 2 has stages"):
+        list(chunk_lines([ChunkTiming(1, 1, 1, 1, dict(FIRST)), ChunkTiming(2, 2, 2, 2, {STAGE_LLM: (1.0, 2.0)})]))
+    # The same set inserted in another order is one stage set.
+    reordered = {STAGE_FM_VOC: (3.0, 4.0), STAGE_LLM: (1.0, 2.0), STAGE_TTS: (2.0, 3.0)}
+    timeline = hand_timeline(FIRST, reordered)
+    timeline.validate()
+    assert timeline.chunks[1].stages == reordered and list(timeline.chunks[1].stages) == list(FIRST)
+
+
+def chunk_by_chunk_validate(chunks: list[ChunkTiming]) -> str | None:
+    """The message of the first broken invariant, or None: the validator
+    that walked chunk by chunk before timelines held columns, kept as the
+    oracle for the column checks."""
+    low, high = -math.inf, math.inf
+    keys = adjacent = None
+    try:
+        for chunk in chunks:
+            stages = chunk.stages
+            if stages.keys() != keys:
+                keys, order = stages.keys(), [s for s in STAGES if s in stages]
+                adjacent = list(zip(order, order[1:]))
+            for prev, cur in adjacent:
+                if stages[cur][0] < stages[prev][1]:
+                    raise ValueError(f"chunk {chunk.index}: stage {cur} starts before {prev} finishes")
+            for stage, (start, finish) in stages.items():
+                if not low < start <= finish < high:
+                    if math.isfinite(start) and math.isfinite(finish):
+                        raise ValueError(f"chunk {chunk.index}: stage {stage} finishes before it starts")
+                    raise ValueError(f"chunk {chunk.index}: stage {stage} time is not finite ({start!r}, {finish!r})")
+        for prev, cur in zip(chunks, chunks[1:]):
+            before = prev.stages
+            for stage, (start, _) in cur.stages.items():
+                if stage in before and start < before[stage][1]:
+                    raise ValueError(f"stage {stage}: chunk {cur.index} starts before chunk {prev.index} finishes")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+FAULTS = ("nan start", "nan finish", "inf finish", "-inf start", "inf start", "reversed", "adjacency", "overlap")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), count=st.integers(1, 5))
+def test_validate_words_the_first_fault_as_the_chunk_by_chunk_checks(data, count) -> None:
+    """Pipelined timelines of one stage set, inserted in one drawn order,
+    with up to three faults injected at drawn chunks and stages."""
+    names = data.draw(st.sampled_from([(STAGE_LLM, STAGE_TTS, STAGE_FM_VOC), (STAGE_LLM, STAGE_TTS, STAGE_FM, STAGE_VOC),
+                                       (STAGE_TTS, STAGE_VOC), ("zz", STAGE_LLM, STAGE_FM)]))
+    ranked = sorted(names, key=lambda s: STAGES.index(s) if s in STAGES else len(STAGES))
+    inserted = data.draw(st.permutations(names))
+    spans: list[dict] = []
+    for j in range(count):
+        upstream, row = 0.0, {}
+        for name in ranked:
+            start = max(upstream, spans[-1][name][1] if spans else 0.0)
+            upstream = start + data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+            row[name] = [start, upstream]
+        spans.append(row)
+    for _ in range(data.draw(st.integers(1, 3))):
+        j, name, fault = data.draw(st.integers(0, count - 1)), data.draw(st.sampled_from(names)), data.draw(st.sampled_from(FAULTS))
+        span = spans[j][name]
+        if fault == "nan start":
+            span[0] = math.nan
+        elif fault == "nan finish":
+            span[1] = math.nan
+        elif fault in ("inf finish", "-inf start", "inf start"):
+            span[fault.endswith("finish")] = -math.inf if fault.startswith("-") else math.inf
+        elif fault == "reversed":
+            span[1] = span[0] - 0.25
+        elif fault == "adjacency" and ranked.index(name) > 0:
+            span[0] = spans[j][ranked[ranked.index(name) - 1]][1] - 0.5
+        elif fault == "overlap" and j > 0:
+            span[0] = spans[j - 1][name][1] - 0.75
+    chunks = [ChunkTiming(j, j, j, j, {name: tuple(row[name]) for name in inserted}) for j, row in enumerate(spans, start=1)]
+    try:
+        Timeline(ScenarioConfig(SchedulePolicy(1, 1), n_text=count, m_speech=count), chunks).validate()
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    assert message == chunk_by_chunk_validate(chunks)
+
+
+def simulated_chunks(scenario: ScenarioConfig, timings: StageTimings) -> list[ChunkTiming]:
+    """The simulator loop that built one ChunkTiming per chunk, before
+    timelines held columns."""
+    policy = scenario.policy
+    n, m = scenario.n_text, scenario.m_speech
+    r, w = policy.read_block, policy.write_block
+    synthesis = timings.synthesis()
+    synth_done = [0.0] * len(synthesis)
+    chunks = []
+    llm_start = tts_prev = tts_done = 0.0
+    prev_tokens = 0
+    for j in range(1, (m + w - 1) // w + 1):
+        token_end = min(j * w, m)
+        chunk_tokens = token_end - prev_tokens
+        reads_total = min(j * r, n)
+        llm_finish = timings.llm.cost_ms(reads_total)
+        tts_cost = timings.tts.cost_ms(token_end)
+        tts_start = max(llm_finish, tts_done)
+        tts_done = tts_start + (tts_cost - tts_prev)
+        stages = {STAGE_LLM: (llm_start, llm_finish), STAGE_TTS: (tts_start, tts_done)}
+        upstream = tts_done
+        for k, (stage, cost) in enumerate(synthesis):
+            start = max(upstream, synth_done[k])
+            upstream = synth_done[k] = start + cost(chunk_tokens)
+            stages[stage] = (start, upstream)
+        chunks.append(ChunkTiming(j, prev_tokens + 1, token_end, reads_total, stages))
+        llm_start, tts_prev, prev_tokens = llm_finish, tts_cost, token_end
+    return chunks
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=simulation_cases())
+def test_timeline_chunks_are_the_simulated_chunk_timings(case) -> None:
+    chunks = simulate_stream(*case).chunks
+    expected = simulated_chunks(*case)
+    assert chunks == expected
+    # repr tells -0.0 from 0.0 and shows the stage order.
+    assert [repr(c) for c in chunks] == [repr(c) for c in expected]
+    for chunk in chunks:
+        assert all(type(t) is float for span in chunk.stages.values() for t in span)
 
 
 def test_overflowing_costs_raise() -> None:

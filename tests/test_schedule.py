@@ -38,6 +38,38 @@ def test_visible_prefix_rejects_nonpositive_positions() -> None:
         visible_prefix(-2, 10, policy(3, 10))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda p: training_mask(True, 3, p), "total_reps must be a positive integer, got True"),
+    (lambda p: training_mask(1.5, 3, p), "total_reps must be a positive integer, got 1.5"),
+    (lambda p: training_mask(0, 3, p), "total_reps must be a positive integer, got 0"),
+    (lambda p: training_mask(2, 2.5, p), "total_tokens must be a non-negative integer, got 2.5"),
+    (lambda p: training_mask(2, False, p), "total_tokens must be a non-negative integer, got False"),
+    (lambda p: training_mask(2, -1, p), "total_tokens must be a non-negative integer, got -1"),
+    (lambda p: build_sequence(True, 3, p), "total_reps must be a positive integer, got True"),
+    (lambda p: build_sequence(2.0, 3, p), "total_reps must be a positive integer, got 2.0"),
+    (lambda p: build_sequence(2, 3.0, p), "total_tokens must be a non-negative integer, got 3.0"),
+    (lambda p: build_sequence(2, np.int64(3), p), "total_tokens must be a non-negative integer, got np.int64(3)"),
+    (lambda p: visible_prefix(1.5, 3, p), "position must be a positive integer, got 1.5"),
+    (lambda p: visible_prefix(True, 3, p), "position must be a positive integer, got True"),
+    (lambda p: visible_prefix(0, 3, p), "position must be a positive integer, got 0"),
+    (lambda p: visible_prefix(2, 3.0, p), "total_reps must be a non-negative integer, got 3.0"),
+    (lambda p: visible_prefix(2, True, p), "total_reps must be a non-negative integer, got True"),
+    (lambda p: visible_prefix(2, -1, p), "total_reps must be a non-negative integer, got -1"),
+    # True sums like the one read of 1, so only the type check catches it
+    (lambda p: validate_sequence([Action(READ, 1)], True, 0, p), "total_reps must be a non-negative integer, got True"),
+])
+def test_schedule_lengths_and_positions_must_be_ints(call, message) -> None:
+    with pytest.raises(ValueError) as excinfo:
+        call(policy(2, 3))
+    assert str(excinfo.value) == message
+
+
+def test_schedule_lengths_at_their_bounds() -> None:
+    assert training_mask(1, 0, policy(2, 3)) == []
+    assert build_sequence(1, 0, policy(2, 3)) == [Action(READ, 1)]
+    assert visible_prefix(1, 0, policy(2, 3)) == 0
+
+
 def test_policy_rejects_nonpositive_blocks() -> None:
     with pytest.raises(ValueError):
         SchedulePolicy(0, 10)

@@ -271,6 +271,20 @@ def test_non_integer_token_ids_are_named_by_position(bad) -> None:
         predictive_distribution(C, [bad], 2, policy, params)
 
 
+@pytest.mark.parametrize("position, message", [
+    (True, "position must be a positive integer, got True"),
+    (1.5, "position must be a positive integer, got 1.5"),
+    (2.0, "position must be a positive integer, got 2.0"),
+    (0, "position must be a positive integer, got 0"),
+    (99, "position 99 must follow the 1 previous ids, at 2"),
+    (1, "position 1 must follow the 1 previous ids, at 2"),
+])
+def test_predictive_distribution_checks_the_position(position, message) -> None:
+    params = init_predictor(ExtendedVocab(text_size=0, speech_size=4), fused_dim=2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        predictive_distribution(np.zeros((3, 2)), [1], position, SchedulePolicy(1, 1), params)
+
+
 def test_numpy_integer_token_ids_are_accepted() -> None:
     vocab = ExtendedVocab(text_size=0, speech_size=4)
     policy = SchedulePolicy(1, 1)
@@ -959,6 +973,45 @@ def test_decode_rejects_a_first_row_of_the_wrong_width(wrap) -> None:
     model = wrap(_speech_only_predictor(3, 0))
     with pytest.raises(ValueError, match=r"visible must be \(v >= 1, 3\)"):
         decode_stream(iter(np.zeros((4, 5))), SchedulePolicy(2, 2), model, DecodeConfig(max_tokens=4))
+
+
+BAD_PREVIOUS_IDS = [True, np.True_, 1.0, np.float64(2.0), 2.5, "1", None, 99, 5, -1]
+
+
+@pytest.mark.parametrize("bad", BAD_PREVIOUS_IDS)
+def test_a_bad_previous_id_is_named_on_both_logits_paths(bad) -> None:
+    params = init_predictor(ExtendedVocab(0, 4), 3)
+    session = params.session()
+    session.extend(np.ones(3))
+    message = f"^previous token id {re.escape(repr(bad))} is not a vocabulary id in \\[0, 5\\)$"
+    with pytest.raises(ValueError, match=message):
+        session.logits([bad])
+    with pytest.raises(ValueError, match=message):
+        session.logits([1, bad])
+    with pytest.raises(ValueError, match=message):
+        params.logits(np.ones((1, 3)), [bad])
+
+
+def test_numpy_integer_previous_ids_give_the_logits_of_ints() -> None:
+    params = init_predictor(ExtendedVocab(0, 4), 3, rng=np.random.default_rng(5))
+    session = params.session()
+    session.extend(np.arange(3.0))
+    for prev in (0, 3, 4):
+        expected = session.logits([prev])
+        assert np.array_equal(params.logits(np.arange(3.0)[None], [prev]), expected)
+        for cast in (np.int64, np.int32, np.uint8):
+            assert np.array_equal(session.logits([cast(prev)]), expected)
+            assert np.array_equal(params.logits(np.arange(3.0)[None], np.array([prev], dtype=cast)), expected)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sampled"])
+def test_decode_passes_its_ids_to_both_logits_paths(mode) -> None:
+    params = _speech_only_predictor(3, 11)
+    C = np.random.default_rng(12).standard_normal((7, 3))
+    config = DecodeConfig(mode=mode, max_tokens=20, seed=4)
+    result = decode_stream(iter(C), SchedulePolicy(2, 3), params, config)
+    assert len(result.tokens) == 20
+    assert decode_stream(iter(C), SchedulePolicy(2, 3), LogitsOnly(params), config) == result
 
 
 def test_session_rejects_bad_rows_and_reads_before_rows() -> None:
